@@ -22,20 +22,23 @@ compute; this package owns *where and how* it executes:
     recalls scale with cores instead of contending for one GIL.
 
 ``remote``
-    :class:`~repro.backends.remote.RemoteBackend` — worker *agents*
-    (``python -m repro worker --listen HOST:PORT``) on any host, spoken
-    to over the pickle-free length-prefixed TCP protocol of
-    :mod:`repro.backends.wire`.  Links are supervised (heartbeats,
-    reconnect with backoff) and in-flight shards retry onto surviving
-    replicas, so recall scales across machines and survives worker loss.
+    :class:`~repro.backends.fleet.RemoteBackend` — worker *agents*
+    (:class:`~repro.backends.remote.WorkerServer`, started with
+    ``python -m repro worker --listen HOST:PORT``) on any host, spoken to
+    over the pickle-free length-prefixed TCP protocol of
+    :mod:`repro.backends.wire`.  A ``fleet`` of adopted workers only:
+    links are supervised (heartbeats, reconnect with backoff), shards are
+    routed by measured replica speed, and in-flight shards retry onto
+    surviving replicas, so recall scales across machines and survives
+    worker loss.
 
 ``fleet``
-    :class:`~repro.backends.fleet.FleetSupervisor` — the ``remote``
-    backend grown into a control plane: spawns and/or adopts worker
-    agents, weights shard routing by measured per-replica EWMA latency
-    (slow replicas get proportionally fewer rows, never declared dead),
-    admits workers *joining a running service*, drains replicas out of
-    routing without disconnecting them, and performs rolling
+    :class:`~repro.backends.fleet.FleetSupervisor` — the one client-side
+    remote transport, which ``remote`` specialises.  Spawns and/or adopts
+    worker agents, weights shard routing by measured per-replica EWMA
+    latency (slow replicas get proportionally fewer rows, never declared
+    dead), admits workers *joining a running service*, drains replicas
+    out of routing without disconnecting them, and performs rolling
     ``EngineSpec`` updates verified by a canary recall — zero-downtime
     reprogramming.  Admin verbs (``status``/``join``/``drain``/
     ``respec``) are served on a control socket
@@ -75,6 +78,7 @@ from repro.backends.fleet import (
     FleetAdminClient,
     FleetControlServer,
     FleetSupervisor,
+    RemoteBackend,
     weighted_shards,
 )
 from repro.backends.process import ProcessPoolBackend
@@ -87,7 +91,6 @@ from repro.backends.registry import (
     resolve_backend,
 )
 from repro.backends.remote import (
-    RemoteBackend,
     WorkerServer,
     parse_worker_addresses,
     spawn_local_worker,

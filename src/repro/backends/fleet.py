@@ -1,21 +1,28 @@
-"""The fleet control plane: supervised replica sets with online membership.
+"""The client side of the remote transport: supervised replica sets.
 
-PR 5 gave every remote link private supervision (heartbeats, reconnect
-with backoff, shard retry on the survivors).  This module grows that
-into a *control plane* for the whole replica set:
+Every worker agent (:mod:`repro.backends.remote`) holds a full replica,
+so any survivor can serve any shard.  This module is the one client of
+those agents:
 
 * :class:`FleetSupervisor` — registered as ``"fleet"``.  Spawns local
   worker agents (``spawn_local_worker``) and/or adopts remote ones
-  (``worker_addresses``), supervises every link exactly like the
-  ``remote`` backend, and on top of that tracks per-replica health and
-  an EWMA of measured per-row shard latency.  Routing is
-  *health-weighted*: shard sizes are proportional to each replica's
-  measured speed (:func:`weighted_shards`), so a slow replica receives
-  proportionally fewer rows — it is never declared dead for being slow
-  (slow ≠ dead), it just stops being the bottleneck.  Because routing
-  only decides *which replica* solves a shard and every recall runs the
-  seeded path with the fleet's pinned Woodbury chunk, no routing
+  (``worker_addresses``) and supervises one socket link per member:
+  heartbeats probe idle links, dead links reconnect with exponential
+  backoff on a background thread, and a shard in flight on a dying
+  worker is retried on the survivors — the retryable
+  :class:`~repro.backends.base.WorkerCrashedError` (HTTP 503 through the
+  serving stack) is raised only when no routable replica remains.  It
+  tracks an EWMA of each replica's measured per-row shard latency, and
+  routing is *health-weighted*: shard sizes are proportional to each
+  replica's measured speed (:func:`weighted_shards`), so a slow replica
+  receives proportionally fewer rows — it is never declared dead for
+  being slow (slow ≠ dead), it just stops being the bottleneck.  Because
+  routing only decides *which replica* solves a shard and every recall
+  runs the seeded path with the fleet's pinned Woodbury chunk, no routing
   decision can change a result bit.
+* :class:`RemoteBackend` — registered as ``"remote"``: the same
+  supervisor over adopted workers only (``worker_addresses`` required,
+  nothing spawned, no control socket).
 * **Online membership** — :meth:`FleetSupervisor.join` admits a worker
   into a *running* fleet (scale-out under load): the supervisor dials
   it, pushes the current spec over the ordinary handshake and starts
@@ -41,11 +48,11 @@ into a *control plane* for the whole replica set:
   is the JSON snapshot behind ``STATUS`` and the ``fleet`` section of
   the serving ``/stats`` endpoint.
 
-The fractional-repetition view still holds: every worker carries a full
-replica, so membership changes move *capacity*, never correctness — the
-chaos matrix (``tests/backends/test_fleet_faults.py``) and the property
-suite (``tests/backends/test_fleet_properties.py``) pin bit-identical
-results across every fleet event.
+Membership changes move *capacity*, never correctness — the chaos
+matrices (``tests/backends/test_remote_faults.py``,
+``tests/backends/test_fleet_faults.py``) and the property suite
+(``tests/backends/test_fleet_properties.py``) pin bit-identical results
+across every fleet event.
 """
 
 from __future__ import annotations
@@ -54,7 +61,7 @@ import socket
 import subprocess
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,7 +74,8 @@ from repro.backends.base import (
 )
 from repro.backends.remote import (
     Address,
-    _WorkerLink,
+    Command,
+    WorkerServer,
     parse_worker_addresses,
     spawn_local_worker,
 )
@@ -104,6 +112,10 @@ class FleetMembershipError(ValueError):
 # protocol module stays ignorant of fleet semantics.
 wire.TRANSPORTABLE_ERRORS.setdefault("FleetMembershipError", FleetMembershipError)
 
+#: Resolution of the integer routing weights :func:`weighted_shards`
+#: quantises to (the largest weight maps to this many quanta).
+_WEIGHT_QUANTA = 1 << 32
+
 
 def weighted_shards(
     count: int,
@@ -124,8 +136,11 @@ def weighted_shards(
     * every shard holds ``>= min_shard_size`` samples whenever more than
       one shard is produced — proportionality is clamped rather than
       ever emitting a sub-minimum shard;
-    * with equal weights the split matches ``contiguous_shards`` sizes
-      (floor rule, sizes differ by at most one).
+    * with equal weights — of any positive value — the split is exactly
+      ``contiguous_shards`` (floor rule, sizes differ by at most one).
+      The weights are quantised to integers relative to the largest and
+      the bounds computed as ``count * prefix // total``, so equal
+      weights become equal integers and no float rounding enters.
 
     Routing weights decide *where* rows are solved, never what the
     answer is: the seeded recall path makes results independent of the
@@ -138,13 +153,15 @@ def weighted_shards(
     check_integer("min_shard_size", min_shard_size, minimum=1)
     shards = min(len(weights), max(1, count // min_shard_size))
     live = [max(float(weight), 1e-12) for weight in weights[:shards]]
-    total = sum(live)
+    top = max(live)
+    quanta = [max(1, round(weight / top * _WEIGHT_QUANTA)) for weight in live]
+    total = sum(quanta)
     bounds = [0] * (shards + 1)
     bounds[shards] = count
-    cumulative = 0.0
+    prefix = 0
     for index in range(1, shards):
-        cumulative += live[index - 1]
-        bounds[index] = int(count * (cumulative / total))
+        prefix += quanta[index - 1]
+        bounds[index] = count * prefix // total
     # Clamp to the minimum shard size: shards <= count // min_shard_size,
     # so low <= high always holds and the pass keeps the exact partition.
     for index in range(1, shards):
@@ -175,10 +192,52 @@ def _parse_control(
     return str(host), int(port)
 
 
-class _Replica:
-    """One fleet member: a supervised link plus health and routing state.
+def _dial(address: Address, connect_timeout: float, io_timeout: float) -> socket.socket:
+    """Connect to a wire-protocol server and complete the ``HELLO`` handshake.
 
-    ``admitted`` is the routing flag — cleared by :meth:`drain`, set by
+    Used by worker links and the admin client alike.  A version skew (or
+    any non-``HELLO`` answer) raises :class:`wire.ProtocolVersionError`;
+    an ``ERROR`` reply resurfaces as its transported type.  The socket is
+    closed on every failure.
+    """
+    sock = socket.create_connection(address, timeout=connect_timeout)
+    try:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        sock.settimeout(io_timeout)
+        wire.send_frame(sock, wire.HELLO, {"protocol": wire.PROTOCOL_VERSION})
+        kind, version, header, _ = wire.recv_frame(sock)
+        if kind == wire.ERROR:
+            raise wire.transported_error(header["type"], header["message"])
+        if kind != wire.HELLO or version != wire.PROTOCOL_VERSION:
+            raise wire.ProtocolVersionError(
+                f"{address[0]}:{address[1]} answered kind {kind} "
+                f"protocol {version}; expected HELLO v{wire.PROTOCOL_VERSION}"
+            )
+    except BaseException:
+        sock.close()
+        raise
+    return sock
+
+
+def _expect(kind: int, header: dict, expected: int, what: str) -> None:
+    """Check a reply's kind; an ``ERROR`` frame raises its transported type."""
+    if kind == wire.ERROR:
+        raise wire.transported_error(header["type"], header["message"])
+    if kind != expected:
+        raise wire.WireProtocolError(f"{what} answered with kind {kind}")
+
+
+class _Replica:
+    """One replica: the supervised socket link to a worker agent, plus its
+    health and routing state.
+
+    The only client socket to a worker agent.  Frame exchange is
+    serialised under :attr:`lock` (one in-flight command per link), and
+    every liveness transition goes through :meth:`connect` /
+    :meth:`mark_dead`, so the dispatcher and the supervisor never
+    disagree about ``alive``.
+
+    ``admitted`` is the routing flag — cleared by a drain, set by
     ``join``/readmit — and is checked *under the link lock* in
     :meth:`exchange`, so the drain contract ("no shard after the drain
     returns") has no check-then-send race.  ``ewma_row_seconds`` is the
@@ -187,8 +246,14 @@ class _Replica:
     """
 
     def __init__(self, address: Address, io_timeout: float, origin: str) -> None:
-        self.link = _WorkerLink(address, io_timeout)
+        self.address = address
+        self.io_timeout = io_timeout
         self.origin = origin
+        self.lock = threading.Lock()
+        self.sock: Optional[socket.socket] = None
+        self.alive = False
+        self.backoff: float = 0.0
+        self.next_attempt: float = 0.0
         self.admitted = True
         self.draining = False
         self.ewma_row_seconds: Optional[float] = None
@@ -197,19 +262,53 @@ class _Replica:
         self._stats_lock = threading.Lock()
 
     @property
-    def address(self) -> Address:
-        return self.link.address
-
-    @property
     def state(self) -> str:
         """``live`` | ``draining`` | ``drained`` | ``dead`` (dead wins)."""
-        if not self.link.alive:
+        if not self.alive:
             return "dead"
         if self.draining:
             return "draining"
         if not self.admitted:
             return "drained"
         return "live"
+
+    def connect(
+        self, spec_header: dict, spec_arrays: Dict[str, np.ndarray],
+        connect_timeout: float,
+    ) -> Optional[int]:
+        """Dial, handshake and push the spec; returns the worker's chunk size.
+
+        Any failure (refused, version skew, handshake garbage) leaves the
+        link dead and re-raises — the caller decides whether that is
+        fatal (``prepare`` with no survivors) or retryable (supervisor).
+        """
+        sock = _dial(self.address, connect_timeout, self.io_timeout)
+        try:
+            wire.send_frame(sock, wire.SPEC, spec_header, spec_arrays)
+            kind, _, header, _ = wire.recv_frame(sock)
+            _expect(kind, header, wire.OK, f"worker {self.address} SPEC")
+        except BaseException:
+            sock.close()
+            raise
+        with self.lock:
+            self.sock = sock
+            self.alive = True
+            self.backoff = 0.0
+        return header.get("chunk_size")
+
+    def mark_dead(self) -> None:
+        """Tear the socket down; the supervisor will schedule a reconnect."""
+        with self.lock:
+            self._mark_dead_locked()
+
+    def _mark_dead_locked(self) -> None:
+        self.alive = False
+        if self.sock is not None:
+            try:
+                self.sock.close()
+            except OSError:
+                pass
+            self.sock = None
 
     def exchange(
         self,
@@ -218,35 +317,97 @@ class _Replica:
         arrays,
         control: bool = False,
     ) -> Tuple[int, dict, Dict[str, np.ndarray]]:
-        """One command round-trip, refusing recall traffic when drained.
+        """Send one command frame and await its reply, holding the lock.
 
-        ``control=True`` bypasses the admitted check (drained replicas
-        still accept SPEC pushes and canary recalls — that is the whole
-        point of draining instead of disconnecting); recall/solve
-        dispatch uses ``control=False`` and re-queues on
-        :class:`ReplicaDrainedError`.
+        Recall traffic is refused with :class:`ReplicaDrainedError` when
+        the replica is drained; ``control=True`` bypasses that check
+        (drained replicas still accept SPEC pushes and canary recalls —
+        that is the whole point of draining instead of disconnecting).
+        Socket trouble (EOF, reset, timeout — a worker slower than
+        ``io_timeout`` is indistinguishable from a dead one) marks the
+        link dead and raises :class:`ConnectionError`.
         """
-        with self.link.lock:
+        with self.lock:
             if not control and not self.admitted:
                 raise ReplicaDrainedError(
                     f"replica {self.address} is drained; shard re-queued"
                 )
-            if not self.link.alive or self.link.sock is None:
+            if not self.alive or self.sock is None:
                 raise ConnectionError(f"link to {self.address} is down")
             try:
-                wire.send_frame(self.link.sock, kind, header, arrays)
-                reply = wire.recv_frame(self.link.sock)
-            except (
-                OSError,
-                wire.WireProtocolError,
-                wire.ConnectionClosedError,
-            ) as error:
-                self.link._mark_dead_locked()
+                wire.send_frame(self.sock, kind, header, arrays)
+                reply_kind, _, reply_header, reply_arrays = wire.recv_frame(self.sock)
+            except (OSError, wire.WireProtocolError, wire.ConnectionClosedError) as error:
+                self._mark_dead_locked()
                 raise ConnectionError(
                     f"worker {self.address} failed mid-command: {error}"
                 ) from error
-            reply_kind, _, reply_header, reply_arrays = reply
             return reply_kind, reply_header, reply_arrays
+
+    def ping(self, timeout: float = 1.0) -> bool:
+        """Heartbeat probe; returns liveness (marking the link on failure).
+
+        ``timeout`` must be the caller's full io budget: once the PING is
+        on the wire its PONG has to be read (or the socket torn down —
+        a late PONG would corrupt the next command's framing), so timing
+        out early declares a merely *slow* worker dead and forces a
+        spurious failover.  The probe skips busy links entirely (a link
+        serving a shard is alive by definition), so a slow probe only
+        delays supervision of the other links, never dispatch.
+        """
+        if not self.lock.acquire(blocking=False):
+            return True  # busy serving a shard — alive by definition
+        try:
+            if not self.alive or self.sock is None:
+                return False
+            try:
+                self.sock.settimeout(min(timeout, self.io_timeout))
+                wire.send_frame(self.sock, wire.PING)
+                kind, _, _, _ = wire.recv_frame(self.sock)
+            except (OSError, wire.WireProtocolError, wire.ConnectionClosedError):
+                self._mark_dead_locked()
+                return False
+            finally:
+                if self.sock is not None:
+                    try:
+                        self.sock.settimeout(self.io_timeout)
+                    except OSError:
+                        pass
+            if kind != wire.PONG:
+                self._mark_dead_locked()
+                return False
+            return True
+        finally:
+            self.lock.release()
+
+    def close(self, timeout: float = 1.0) -> None:
+        """Tear the link down without waiting on an in-flight command.
+
+        A graceful BYE is sent only if the lock is free within
+        ``timeout``; otherwise the socket is force-closed from here — the
+        holder's blocked recv fails immediately with ``OSError`` (handled
+        as a dead link), so backend shutdown never waits out a full
+        ``io_timeout``.
+        """
+        acquired = self.lock.acquire(timeout=timeout)
+        try:
+            sock = self.sock
+            if sock is not None and acquired:
+                try:
+                    wire.send_frame(sock, wire.BYE)
+                except OSError:
+                    pass
+            self.alive = False
+            if sock is not None:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
+            if acquired:
+                self.sock = None
+        finally:
+            if acquired:
+                self.lock.release()
 
     def observe(self, rows: int, elapsed: float, alpha: float) -> None:
         """Fold one served shard into the health/latency estimate."""
@@ -280,9 +441,21 @@ class FleetSupervisor(RecallBackend):
     spawn_workers:
         Local agents to spawn in addition to any adopted addresses
         (``None`` = ``workers`` when no addresses were given, else 0).
-    min_shard_size, chunk_size, connect_timeout, io_timeout,
-    heartbeat_interval, backoff_base, backoff_max:
-        Exactly the :class:`~repro.backends.remote.RemoteBackend` knobs.
+    min_shard_size:
+        A batch is split across replicas only when every shard would hold
+        at least this many samples.
+    chunk_size:
+        Explicit Woodbury chunk; ``None`` pins the first worker's
+        autotuned choice into the spec so every replica (including later
+        reconnects and joiners) runs the same chunk.
+    connect_timeout, io_timeout:
+        Socket budgets for dialling and for one in-flight command; a
+        worker slower than ``io_timeout`` is treated as crashed and its
+        shard is retried on the survivors.
+    heartbeat_interval:
+        Seconds between idle-link PING probes; dead links found by the
+        probe are reconnected with exponential backoff (``backoff_base``
+        doubling to ``backoff_max``).
     latency_alpha:
         EWMA smoothing factor for per-row shard latency (0 < alpha <= 1;
         higher = reacts faster to a replica speeding up or bogging down).
@@ -411,12 +584,12 @@ class FleetSupervisor(RecallBackend):
             first_error: Optional[BaseException] = None
             for replica in self._replicas_snapshot():
                 try:
-                    chunk = replica.link.connect(
+                    chunk = replica.connect(
                         header, arrays, self.connect_timeout
                     )
                 except Exception as error:
                     first_error = first_error or error
-                    replica.link.next_attempt = time.monotonic()
+                    replica.next_attempt = time.monotonic()
                     continue
                 if self.spec.chunk_size is None and chunk is not None:
                     # Pin the first replica's autotuned chunk so every
@@ -428,9 +601,9 @@ class FleetSupervisor(RecallBackend):
                             self.module, chunk_size=chunk
                         )
                     header, arrays = self._spec_wire()
-            if not any(r.link.alive for r in self._replicas_snapshot()):
+            if not any(r.alive for r in self._replicas_snapshot()):
                 raise ConnectionError(
-                    "no fleet worker reachable at "
+                    f"no {self.name} worker reachable at "
                     f"{[r.address for r in self._replicas_snapshot()]}: "
                     f"{first_error}"
                 )
@@ -440,7 +613,7 @@ class FleetSupervisor(RecallBackend):
                 )
             self._supervisor = threading.Thread(
                 target=self._supervise,
-                name="fleet-supervisor",
+                name=f"{self.name}-supervisor",
                 daemon=True,
             )
             self._prepared = True
@@ -458,31 +631,37 @@ class FleetSupervisor(RecallBackend):
             for replica in self._replicas_snapshot():
                 if self._closed:
                     return
-                link = replica.link
-                if link.alive:
-                    # Full io budget, same reasoning as the remote
-                    # supervisor: slow is not dead, and a sent PING's
-                    # PONG must be read or the socket torn down.
-                    link.ping(timeout=self.io_timeout)
-                if not link.alive and time.monotonic() >= link.next_attempt:
+                if replica.alive:
+                    # Probe with the full io budget: a PONG that takes
+                    # longer than a short probe window but arrives within
+                    # io_timeout is a *slow* worker, and slow is not dead
+                    # — a shorter timeout here used to mark such links
+                    # dead and trigger spurious failover (pinned by
+                    # tests/backends/test_remote_faults.py).  Once a PING
+                    # is sent the reply must be read or the socket torn
+                    # down (a late PONG would corrupt the next command's
+                    # framing), so the only safe probe timeout is the one
+                    # that actually defines death.
+                    replica.ping(timeout=self.io_timeout)
+                if not replica.alive and time.monotonic() >= replica.next_attempt:
                     try:
                         header, arrays = self._spec_wire()
-                        link.connect(header, arrays, self.connect_timeout)
+                        replica.connect(header, arrays, self.connect_timeout)
                         self.reconnects += 1
                     except Exception:
-                        link.backoff = min(
+                        replica.backoff = min(
                             self.backoff_max,
-                            (link.backoff * 2) or self.backoff_base,
+                            (replica.backoff * 2) or self.backoff_base,
                         )
-                        link.next_attempt = time.monotonic() + link.backoff
+                        replica.next_attempt = time.monotonic() + replica.backoff
             delay = max(0.0, next_heartbeat - time.monotonic())
             dead = [
                 replica
                 for replica in self._replicas_snapshot()
-                if not replica.link.alive
+                if not replica.alive
             ]
             if dead:
-                soonest = min(r.link.next_attempt for r in dead)
+                soonest = min(r.next_attempt for r in dead)
                 delay = min(delay, max(0.0, soonest - time.monotonic()), 0.25)
             self._wake.wait(timeout=max(delay, 0.01))
             self._wake.clear()
@@ -497,13 +676,17 @@ class FleetSupervisor(RecallBackend):
         # Close links before joining the supervisor (a heartbeat blocked
         # in recv unblocks the moment its socket is force-closed), and
         # give the join the connect budget too — the supervisor may be
-        # inside a reconnect dial, which link.close() cannot interrupt.
+        # inside a reconnect dial, which closing a link cannot interrupt
+        # (a flat 5 s used to leak the thread past close() whenever
+        # connect_timeout was raised above it).  A reconnect may have
+        # raced the first sweep and resurrected a socket; the second
+        # sweep (idempotent) catches it.
         for replica in self._replicas_snapshot():
-            replica.link.close()
+            replica.close()
         if self._supervisor is not None:
             self._supervisor.join(timeout=max(5.0, self.connect_timeout + 1.0))
         for replica in self._replicas_snapshot():
-            replica.link.close()
+            replica.close()
         for process in self._processes:
             process.terminate()
         for process in self._processes:
@@ -551,7 +734,7 @@ class FleetSupervisor(RecallBackend):
         except FleetMembershipError:
             replica = _Replica(parsed, self.io_timeout, origin="joined")
             header, arrays = self._spec_wire()
-            replica.link.connect(header, arrays, self.connect_timeout)
+            replica.connect(header, arrays, self.connect_timeout)
             with self._fleet_lock:
                 self._replicas.append(replica)
             self.joins += 1
@@ -560,8 +743,8 @@ class FleetSupervisor(RecallBackend):
         if not replica.admitted:
             replica.admitted = True
             self.readmits += 1
-        if not replica.link.alive:
-            replica.link.next_attempt = time.monotonic()
+        if not replica.alive:
+            replica.next_attempt = time.monotonic()
             self._wake.set()
         return self._replica_info(replica)
 
@@ -576,7 +759,7 @@ class FleetSupervisor(RecallBackend):
         replica.admitted = False
         replica.draining = True
         try:
-            acquired = replica.link.lock.acquire(timeout=timeout)
+            acquired = replica.lock.acquire(timeout=timeout)
             if not acquired:
                 raise TimeoutError(
                     f"replica {replica.address} still has a shard in flight "
@@ -584,7 +767,7 @@ class FleetSupervisor(RecallBackend):
                 )
         finally:
             if acquired:
-                replica.link.lock.release()
+                replica.lock.release()
             replica.draining = False
 
     def drain(
@@ -620,12 +803,7 @@ class FleetSupervisor(RecallBackend):
             {"codes": self._canary_codes, "seeds": self._canary_seeds},
             control=True,
         )
-        if kind == wire.ERROR:
-            raise wire.transported_error(header["type"], header["message"])
-        if kind != wire.RESULT:
-            raise wire.WireProtocolError(
-                f"canary RECALL answered with kind {kind}"
-            )
+        _expect(kind, header, wire.RESULT, "canary RECALL")
         result = wire.result_from_wire(arrays)
         discrete = (
             np.array_equal(result.winner_column, expected.winner_column)
@@ -680,7 +858,7 @@ class FleetSupervisor(RecallBackend):
         report: List[dict] = []
         for replica in self._replicas_snapshot():
             entry = {"address": f"{replica.address[0]}:{replica.address[1]}"}
-            if not replica.link.alive:
+            if not replica.alive:
                 entry["outcome"] = "skipped-dead"
                 report.append(entry)
                 continue
@@ -690,19 +868,12 @@ class FleetSupervisor(RecallBackend):
                 kind, reply_header, _ = replica.exchange(
                     wire.SPEC, header, arrays, control=True
                 )
-                if kind == wire.ERROR:
-                    raise wire.transported_error(
-                        reply_header["type"], reply_header["message"]
-                    )
-                if kind != wire.OK:
-                    raise wire.WireProtocolError(
-                        f"SPEC answered with kind {kind}"
-                    )
+                _expect(kind, reply_header, wire.OK, "SPEC")
                 if not self._canary_matches(replica, expected):
                     # Wrong answers are worse than no answers: keep the
                     # replica out of routing and drop the link so a human
                     # (or a reconnect + explicit join) has to bring it back.
-                    replica.link.mark_dead()
+                    replica.mark_dead()
                     entry["outcome"] = "canary-mismatch"
                     report.append(entry)
                     continue
@@ -728,7 +899,7 @@ class FleetSupervisor(RecallBackend):
         return [
             replica
             for replica in self._replicas_snapshot()
-            if replica.link.alive and replica.admitted
+            if replica.alive and replica.admitted
         ]
 
     def _weights(self, replicas: List[_Replica]) -> List[float]:
@@ -763,90 +934,113 @@ class FleetSupervisor(RecallBackend):
             [weights[index] for index in order],
         )
 
-    def _dispatch_shards(self, count: int, send_one, read_one) -> list:
-        """Health-weighted shard dispatch with retry on the survivors.
+    def _dispatch_shards(
+        self, count: int, command: Callable[[int, int], tuple], expected: int
+    ) -> List[Dict[str, np.ndarray]]:
+        """Shard ``[0, count)`` across routable replicas, retrying lost shards.
 
-        The first round sizes shards proportionally to replica speed
-        (fastest replica, biggest shard); a shard lost to a dying — or
-        just-drained — replica re-queues for the remaining routable
-        members, with the same retry budget and no-replica semantics as
-        the remote backend (:class:`WorkerCrashedError` only when no
-        routable replica remains).
+        ``command(begin, end)`` builds one shard's ``(kind, header,
+        arrays)`` frame; every reply must be of kind ``expected``, and the
+        reply arrays come back in shard order.  Each round sizes and
+        assigns its shards from one :meth:`_ordered_routable` snapshot:
+        the first round proportionally to replica speed (fastest replica,
+        biggest shard); later rounds hand shards lost to a dying — or
+        just-drained — replica to the survivors, and every loss pokes the
+        supervisor so it starts reconnecting at once.  The retryable
+        :class:`WorkerCrashedError` surfaces when no routable replica
+        remains — or when a shard has burned its retry budget, so a
+        crash-looping worker (reconnects fine, dies on every command)
+        cannot spin a request forever.
         """
         self.prepare()
-        routable = self._routable()
-        if not routable:
+        ordered, weights = self._ordered_routable()
+        if not ordered:
+            # Give the supervisor one short window — a worker may be
+            # mid-reconnect after a transient drop.
             self._wake.set()
             deadline = time.monotonic() + min(1.0, self.connect_timeout)
-            while not routable and time.monotonic() < deadline:
+            while not ordered and time.monotonic() < deadline:
                 time.sleep(0.02)
-                routable = self._routable()
-        if not routable:
+                ordered, weights = self._ordered_routable()
+        if not ordered:
             raise WorkerCrashedError(
-                "no routable fleet replica remains at "
+                f"no routable {self.name} replica remains at "
                 f"{[r.address for r in self._replicas_snapshot()]}; the batch "
                 "was not started and is safe to retry"
             )
-        ordered, weights = self._ordered_routable()
-        pending = list(weighted_shards(count, weights, self.min_shard_size))
-        chunks: Dict[int, object] = {}
+        pending = weighted_shards(count, weights, self.min_shard_size)
+        replies: Dict[int, Dict[str, np.ndarray]] = {}
         attempts: Dict[Tuple[int, int], int] = {}
         max_attempts = max(3, 2 * len(self._replicas_snapshot()))
         while pending:
-            ordered, _ = self._ordered_routable()
-            if not ordered:
-                raise WorkerCrashedError(
-                    "every routable fleet replica was lost with shards in "
-                    "flight; the request was not completed and is safe to retry"
-                )
             round_shards = pending[: len(ordered)]
             pending = pending[len(ordered):]
-            threads = []
-            outcomes: List[Optional[BaseException]] = [None] * len(round_shards)
-            replies: List[object] = [None] * len(round_shards)
-
-            def run(index: int, replica: _Replica, bounds: Tuple[int, int]) -> None:
-                begin, end = bounds
-                started = time.monotonic()
-                try:
-                    replies[index] = send_one(replica, begin, end)
-                except BaseException as error:  # noqa: BLE001 — sorted below
-                    outcomes[index] = error
-                else:
-                    replica.observe(
-                        end - begin,
-                        time.monotonic() - started,
-                        self.latency_alpha,
-                    )
-
-            for index, (replica, bounds) in enumerate(
-                zip(ordered, round_shards)
-            ):
-                thread = threading.Thread(
-                    target=run, args=(index, replica, bounds), daemon=True
-                )
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-            for index, bounds in enumerate(round_shards):
-                error = outcomes[index]
-                if error is None:
-                    chunks[bounds[0]] = read_one(replies[index], *bounds)
-                elif isinstance(error, ConnectionError):
+            outcomes = self._run_round(
+                list(zip(ordered, round_shards)), command, expected
+            )
+            for bounds, outcome in zip(round_shards, outcomes):
+                if not isinstance(outcome, BaseException):
+                    replies[bounds[0]] = outcome
+                elif isinstance(outcome, ConnectionError):
                     attempts[bounds] = attempts.get(bounds, 0) + 1
                     if attempts[bounds] >= max_attempts:
                         raise WorkerCrashedError(
                             f"shard {bounds} failed on {attempts[bounds]} "
                             "replicas in a row; giving up this request "
                             "(safe to retry)"
-                        ) from error
+                        ) from outcome
                     pending.append(bounds)
                     self.retried_shards += 1
                     self._wake.set()
                 else:
-                    raise error
-        return [chunks[begin] for begin in sorted(chunks)]
+                    raise outcome
+            if pending:
+                ordered, _ = self._ordered_routable()
+                if not ordered:
+                    raise WorkerCrashedError(
+                        f"every routable {self.name} replica was lost with "
+                        "shards in flight; the request was not completed and "
+                        "is safe to retry"
+                    )
+        return [replies[begin] for begin in sorted(replies)]
+
+    def _run_round(
+        self,
+        assignments: List[Tuple[_Replica, Tuple[int, int]]],
+        command: Callable[[int, int], tuple],
+        expected: int,
+    ) -> list:
+        """Exchange one round's shards; returns each reply's arrays or error.
+
+        The first shard runs on the caller's thread and only the rest get
+        a thread each, so a single-shard batch starts no thread at all.
+        """
+        outcomes: list = [None] * len(assignments)
+
+        def run(index: int) -> None:
+            replica, (begin, end) = assignments[index]
+            started = time.monotonic()
+            try:
+                kind, header, arrays = replica.exchange(*command(begin, end))
+                _expect(kind, header, expected, f"{self.name} shard")
+            except BaseException as error:  # noqa: BLE001 — sorted by caller
+                outcomes[index] = error
+            else:
+                replica.observe(
+                    end - begin, time.monotonic() - started, self.latency_alpha
+                )
+                outcomes[index] = arrays
+
+        threads = [
+            threading.Thread(target=run, args=(index,), daemon=True)
+            for index in range(1, len(assignments))
+        ]
+        for thread in threads:
+            thread.start()
+        run(0)
+        for thread in threads:
+            thread.join()
+        return outcomes
 
     # ------------------------------------------------------------------ #
     # RecallBackend surface
@@ -868,24 +1062,18 @@ class FleetSupervisor(RecallBackend):
                 f"request_seeds must have shape ({codes.shape[0]},), "
                 f"got {seeds.shape}"
             )
-
-        def send_one(replica: _Replica, begin: int, end: int):
-            kind, header, arrays = replica.exchange(
+        replies = self._dispatch_shards(
+            codes.shape[0],
+            lambda begin, end: (
                 wire.RECALL,
                 {"count": end - begin},
                 {"codes": codes[begin:end], "seeds": seeds[begin:end]},
-            )
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.RESULT:
-                raise wire.WireProtocolError(f"RECALL answered with kind {kind}")
-            return arrays
-
-        def read_one(arrays, begin, end):
-            return wire.result_from_wire(arrays)
-
-        chunks = self._dispatch_shards(codes.shape[0], send_one, read_one)
-        return concatenate_batch_results(chunks)
+            ),
+            wire.RESULT,
+        )
+        return concatenate_batch_results(
+            [wire.result_from_wire(arrays) for arrays in replies]
+        )
 
     def solve_batch(
         self, dac_conductances: np.ndarray, include_parasitics: bool = True
@@ -896,24 +1084,19 @@ class FleetSupervisor(RecallBackend):
             raise ValueError(
                 f"dac_conductances must have shape (B, {rows}), got {dac.shape}"
             )
-
-        def send_one(replica: _Replica, begin: int, end: int):
-            kind, header, arrays = replica.exchange(
+        replies = self._dispatch_shards(
+            dac.shape[0],
+            lambda begin, end: (
                 wire.SOLVE,
                 {"include_parasitics": bool(include_parasitics)},
                 {"dac": dac[begin:end]},
-            )
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.SOLUTION:
-                raise wire.WireProtocolError(f"SOLVE answered with kind {kind}")
-            return arrays
-
-        def read_one(arrays, begin, end):
-            return wire.solution_from_wire(arrays, self.module.solver.delta_v)
-
-        chunks = self._dispatch_shards(dac.shape[0], send_one, read_one)
-        return concatenate_batch_solutions(chunks)
+            ),
+            wire.SOLUTION,
+        )
+        delta_v = self.module.solver.delta_v
+        return concatenate_batch_solutions(
+            [wire.solution_from_wire(arrays, delta_v) for arrays in replies]
+        )
 
     # ------------------------------------------------------------------ #
     # Observability
@@ -938,7 +1121,7 @@ class FleetSupervisor(RecallBackend):
         ``src/repro/serving/README.md``).
         """
         replicas = self._replicas_snapshot()
-        routable = [r for r in replicas if r.link.alive and r.admitted]
+        routable = [r for r in replicas if r.alive and r.admitted]
         weights = dict(
             zip((id(r) for r in routable), self._weights(routable))
         )
@@ -977,164 +1160,75 @@ class FleetSupervisor(RecallBackend):
             pass
 
 
+#: The transport knobs ``remote`` forwards; other options are ignored,
+#: since the registry passes one option set to whichever backend was named.
+_REMOTE_KNOBS = frozenset({
+    "min_shard_size", "chunk_size", "connect_timeout", "io_timeout",
+    "heartbeat_interval", "backoff_base", "backoff_max",
+})
+
+
+class RemoteBackend(FleetSupervisor):
+    """Registered as ``"remote"``: a fleet of adopted worker agents only —
+    ``worker_addresses`` required, nothing spawned, no control socket.
+    Forwards the knobs in ``_REMOTE_KNOBS``; ignores ``workers`` and the rest.
+    """
+
+    name = "remote"
+
+    def __init__(self, module, workers: int = 1, worker_addresses=None, **options) -> None:
+        if not parse_worker_addresses(worker_addresses):
+            raise ValueError(
+                "remote backend needs worker_addresses "
+                "(e.g. worker_addresses='127.0.0.1:7070,127.0.0.1:7071' or "
+                "--workers 127.0.0.1:7070,127.0.0.1:7071 on the CLI); start "
+                "agents with `python -m repro worker --listen HOST:PORT`"
+            )
+        knobs = {key: options[key] for key in _REMOTE_KNOBS & options.keys()}
+        super().__init__(module, worker_addresses=worker_addresses, **knobs)
+
+
 # ---------------------------------------------------------------------- #
 # Control socket
 # ---------------------------------------------------------------------- #
-class FleetControlServer:
+class FleetControlServer(WorkerServer):
     """Serves the fleet admin verbs on a TCP control socket.
 
-    Speaks the ordinary wire framing and handshake (a torn or hostile
-    frame is answered/dropped exactly like on a worker socket, never
-    crashes the loop), then maps ``STATUS`` / ``JOIN`` / ``DRAIN`` /
+    A :class:`~repro.backends.remote.WorkerServer` with a different
+    command table: the same framing, handshake (a torn or hostile frame
+    is answered/dropped exactly like on a worker socket, never crashes
+    the loop) and shutdown, mapping ``STATUS`` / ``JOIN`` / ``DRAIN`` /
     ``RESPEC`` frames onto the supervisor.  Lives inside the serving
     process; started by :meth:`FleetSupervisor.prepare` when a
     ``control`` address was configured.
     """
 
+    role = "fleet-control"
+
     def __init__(
         self, supervisor: FleetSupervisor, host: str = "127.0.0.1", port: int = 0
     ) -> None:
+        super().__init__(host, port, backlog=8)
         self._supervisor = supervisor
-        self._listener = socket.create_server((host, port), backlog=8)
-        self._closed = threading.Event()
-        self._conn_lock = threading.Lock()
-        self._connections: List[socket.socket] = []
-        self._conn_threads: List[threading.Thread] = []
-        self._accept_thread = threading.Thread(
-            target=self._accept_loop, name="fleet-control-accept", daemon=True
-        )
-        self._accept_thread.start()
+        self.start()
 
-    @property
-    def address(self) -> Address:
-        host, port = self._listener.getsockname()[:2]
-        return host, port
+    def _session(self) -> Command:
+        return self._command
 
-    def _accept_loop(self) -> None:
-        while not self._closed.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except OSError:
-                return  # listener closed
-            with self._conn_lock:
-                if self._closed.is_set():
-                    conn.close()
-                    return
-                self._connections.append(conn)
-                self._conn_threads = [
-                    thread for thread in self._conn_threads if thread.is_alive()
-                ]
-                thread = threading.Thread(
-                    target=self._serve_connection,
-                    args=(conn,),
-                    name="fleet-control-conn",
-                    daemon=True,
-                )
-                self._conn_threads.append(thread)
-            thread.start()
-
-    def _serve_connection(self, conn: socket.socket) -> None:
-        try:
-            conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            kind, version, header, _ = wire.recv_frame(conn)
-            if kind != wire.HELLO:
-                wire.send_error(
-                    conn,
-                    wire.WireProtocolError(
-                        f"expected HELLO as the first frame, got kind {kind}"
-                    ),
-                )
-                return
-            if version != wire.PROTOCOL_VERSION or (
-                header.get("protocol") != wire.PROTOCOL_VERSION
-            ):
-                wire.send_error(
-                    conn,
-                    wire.ProtocolVersionError(
-                        f"control socket speaks protocol {wire.PROTOCOL_VERSION}, "
-                        f"peer sent {header.get('protocol', version)}"
-                    ),
-                )
-                return
-            wire.send_frame(conn, wire.HELLO, {"protocol": wire.PROTOCOL_VERSION})
-            while not self._closed.is_set():
-                kind, _, header, _ = wire.recv_frame(conn)
-                if kind == wire.BYE:
-                    return
-                if kind == wire.PING:
-                    wire.send_frame(conn, wire.PONG)
-                    continue
-                try:
-                    if kind == wire.STATUS:
-                        wire.send_frame(
-                            conn,
-                            wire.OK,
-                            {"fleet": self._supervisor.fleet_stats()},
-                        )
-                    elif kind == wire.JOIN:
-                        info = self._supervisor.join(header["address"])
-                        wire.send_frame(conn, wire.OK, {"replica": info})
-                    elif kind == wire.DRAIN:
-                        info = self._supervisor.drain(
-                            header["address"],
-                            timeout=float(header.get("timeout", 30.0)),
-                        )
-                        wire.send_frame(conn, wire.OK, {"replica": info})
-                    elif kind == wire.RESPEC:
-                        report = self._supervisor.respec(
-                            drain_timeout=float(header.get("timeout", 30.0))
-                        )
-                        wire.send_frame(conn, wire.OK, {"replicas": report})
-                    else:
-                        raise wire.WireProtocolError(
-                            f"unknown control frame kind {kind}"
-                        )
-                except (wire.ConnectionClosedError, BrokenPipeError, OSError):
-                    raise
-                except Exception as error:  # transport, never crash the loop
-                    wire.send_error(conn, error)
-        except (wire.ConnectionClosedError, ConnectionError, OSError):
-            pass  # peer went away (or tore a frame); nothing to answer
-        except wire.WireProtocolError as error:
-            try:
-                wire.send_error(conn, error)
-            except OSError:
-                pass
-        finally:
-            with self._conn_lock:
-                if conn in self._connections:
-                    self._connections.remove(conn)
-            conn.close()
-
-    def close(self) -> None:
-        if self._closed.is_set():
-            return
-        self._closed.set()
-        try:
-            self._listener.shutdown(socket.SHUT_RDWR)
-        except OSError:
-            try:
-                poke = socket.create_connection(self.address, timeout=0.5)
-                poke.close()
-            except OSError:
-                pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-        with self._conn_lock:
-            connections, self._connections = self._connections, []
-            threads, self._conn_threads = self._conn_threads, []
-        for conn in connections:
-            try:
-                conn.shutdown(socket.SHUT_RDWR)
-            except OSError:
-                pass
-            conn.close()
-        if self._accept_thread is not None:
-            self._accept_thread.join(timeout=5.0)
-        for thread in threads:
-            thread.join(timeout=5.0)
+    def _command(self, kind, header, arrays):
+        fleet = self._supervisor
+        timeout = float(header.get("timeout", 30.0))
+        if kind == wire.STATUS:
+            reply = {"fleet": fleet.fleet_stats()}
+        elif kind == wire.JOIN:
+            reply = {"replica": fleet.join(header["address"])}
+        elif kind == wire.DRAIN:
+            reply = {"replica": fleet.drain(header["address"], timeout=timeout)}
+        elif kind == wire.RESPEC:
+            reply = {"replicas": fleet.respec(drain_timeout=timeout)}
+        else:
+            raise wire.WireProtocolError(f"unknown control frame kind {kind}")
+        return wire.OK, reply, None
 
 
 class FleetAdminClient:
@@ -1151,38 +1245,12 @@ class FleetAdminClient:
         connect_timeout: float = 5.0,
         io_timeout: float = 60.0,
     ) -> None:
-        if isinstance(address, str):
-            host, _, port_text = address.strip().rpartition(":")
-            address = (host, int(port_text))
-        self._sock = socket.create_connection(address, timeout=connect_timeout)
-        try:
-            self._sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            self._sock.settimeout(io_timeout)
-            wire.send_frame(
-                self._sock, wire.HELLO, {"protocol": wire.PROTOCOL_VERSION}
-            )
-            kind, version, header, _ = wire.recv_frame(self._sock)
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.HELLO or version != wire.PROTOCOL_VERSION:
-                raise wire.ProtocolVersionError(
-                    f"control socket answered kind {kind} protocol {version}"
-                )
-        except BaseException:
-            self._sock.close()
-            raise
+        self._sock = _dial(_parse_control(address), connect_timeout, io_timeout)
 
     def _command(self, kind: int, header: Optional[dict] = None) -> dict:
         wire.send_frame(self._sock, kind, header)
         reply_kind, _, reply_header, _ = wire.recv_frame(self._sock)
-        if reply_kind == wire.ERROR:
-            raise wire.transported_error(
-                reply_header["type"], reply_header["message"]
-            )
-        if reply_kind != wire.OK:
-            raise wire.WireProtocolError(
-                f"control verb {kind} answered with kind {reply_kind}"
-            )
+        _expect(reply_kind, reply_header, wire.OK, f"control verb {kind}")
         return reply_header
 
     def status(self) -> dict:

@@ -25,9 +25,8 @@ from typing import Callable, Dict, List, Union
 
 from repro.backends.auto import AutoBackend
 from repro.backends.base import RecallBackend
-from repro.backends.fleet import FleetSupervisor
+from repro.backends.fleet import FleetSupervisor, RemoteBackend
 from repro.backends.process import ProcessPoolBackend
-from repro.backends.remote import RemoteBackend
 from repro.backends.serial import SerialBackend
 from repro.backends.threaded import ThreadedBackend
 

@@ -1,4 +1,4 @@
-"""The remote backend: engine replicas on worker agents across hosts.
+"""The worker-agent side of the remote transport.
 
 The process pool escapes the GIL but not the machine.  This module moves
 the same ``EngineSpec`` contract over TCP so recall can shard across
@@ -12,22 +12,19 @@ the same ``EngineSpec`` contract over TCP so recall can shard across
   :class:`~repro.crossbar.batched.BatchedCrossbarEngine`, and then serves
   ``RECALL`` / ``SOLVE`` / ``PING`` frames until the peer goes away.  A
   mismatched protocol version is answered with a clean ``ERROR`` frame
-  and a close — never a hang.
-* :class:`RemoteBackend` — registered as ``"remote"``.  One long-lived
-  socket link per worker address; batches shard across live links with
-  the same contiguous-shard rule every parallel backend uses, so results
-  are bit-identical to ``serial`` (everything runs the seeded path).
-  The backend *supervises* its links: heartbeats probe idle workers,
-  dead links reconnect with exponential backoff on a background thread,
-  and a shard that was in flight on a dying worker is retried on the
-  surviving replicas — the retryable
-  :class:`~repro.backends.base.WorkerCrashedError` (HTTP 503 through the
-  serving stack) is raised only when **no replica remains**.
+  and a close — never a hang.  The fleet's control socket
+  (:class:`~repro.backends.fleet.FleetControlServer`) is the same server
+  with a different command table.
+* :func:`spawn_local_worker` — start an agent as a subprocess on this
+  host and parse its ephemeral port back.
+* :func:`parse_worker_addresses` — the ``"host:port,host:port"`` form
+  every consumer accepts.
 
-Because every request names its own random substream, retrying a shard
-on a different replica cannot change its answer — worker loss degrades
-capacity, never correctness (the fractional-repetition view: each worker
-holds a full replica, so any survivor can serve any shard).
+The client side — supervised links, shard dispatch and retry, the
+``remote`` and ``fleet`` backends — lives in :mod:`repro.backends.fleet`.
+Every worker holds a full replica, so any survivor can serve any shard
+(the fractional-repetition view): worker loss degrades capacity, never
+correctness.
 """
 
 from __future__ import annotations
@@ -38,30 +35,22 @@ import subprocess
 import sys
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.backends import wire
-from repro.backends.base import (
-    BackendCapabilities,
-    EngineSpec,
-    RecallBackend,
-    WorkerCrashedError,
-    contiguous_shards,
-)
-from repro.core.amm import (
-    AssociativeMemoryModule,
-    BatchRecognitionResult,
-    concatenate_batch_results,
-)
-from repro.crossbar.batched import (
-    BatchCrossbarSolution,
-    concatenate_batch_solutions,
-)
-from repro.utils.validation import check_integer
+from repro.core.amm import AssociativeMemoryModule
 
 Address = Tuple[str, int]
+
+#: One connection's command handler: ``(kind, header, arrays)`` in, the
+#: reply frame's ``(kind, header, arrays)`` out.  Raising sends the error
+#: back as an ``ERROR`` frame and keeps the connection open.
+Command = Callable[
+    [int, dict, Dict[str, np.ndarray]],
+    Tuple[int, Optional[dict], Optional[Dict[str, np.ndarray]]],
+]
 
 
 def parse_worker_addresses(
@@ -116,7 +105,14 @@ class WorkerServer:
         Listen backlog for concurrent backend connections; each accepted
         connection gets its own handler thread, engine replica and module
         rebuild, so connections share nothing.
+
+    The accept loop, handshake, ``PING``/``BYE`` handling and shutdown
+    are shared with every server speaking the wire framing; a subclass
+    supplies only :meth:`_session`, its per-connection command table.
     """
+
+    #: Names this server in handshake errors and thread names.
+    role = "worker"
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, backlog: int = 16):
         self._listener = socket.create_server((host, port), backlog=backlog)
@@ -138,7 +134,7 @@ class WorkerServer:
         """Serve connections on a daemon thread; returns ``self``."""
         if self._accept_thread is None:
             self._accept_thread = threading.Thread(
-                target=self._accept_loop, name="repro-worker-accept", daemon=True
+                target=self._accept_loop, name=f"repro-{self.role}-accept", daemon=True
             )
             self._accept_thread.start()
         return self
@@ -172,15 +168,48 @@ class WorkerServer:
                 thread = threading.Thread(
                     target=self._serve_connection,
                     args=(conn,),
-                    name="repro-worker-conn",
+                    name=f"repro-{self.role}-conn",
                     daemon=True,
                 )
                 self._conn_threads.append(thread)
             thread.start()
 
-    def _serve_connection(self, conn: socket.socket) -> None:
-        engine = None
+    def _session(self) -> Command:
+        """One connection's command handler: the engine its ``SPEC`` built."""
         module: Optional[AssociativeMemoryModule] = None
+        engine = None
+
+        def command(kind, header, arrays):
+            nonlocal module, engine
+            if kind == wire.SPEC:
+                spec = wire.spec_from_wire(header, arrays)
+                module = spec.module
+                engine = spec.build_engine(prepare=True)
+                return wire.OK, {"chunk_size": engine.chunk_size}, None
+            if kind == wire.RECALL:
+                if module is None:
+                    raise RuntimeError("RECALL before SPEC on this link")
+                result = module.recognise_batch_seeded(
+                    np.array(arrays["codes"], dtype=np.int64),
+                    np.array(arrays["seeds"], dtype=np.int64),
+                    engine=engine,
+                )
+                self.commands_served += 1
+                return wire.RESULT, None, wire.result_to_wire(result)
+            if kind == wire.SOLVE:
+                if engine is None:
+                    raise RuntimeError("SOLVE before SPEC on this link")
+                solution = engine.solve_batch(
+                    np.array(arrays["dac"], dtype=np.float64),
+                    include_parasitics=bool(header["include_parasitics"]),
+                )
+                self.commands_served += 1
+                return wire.SOLUTION, None, wire.solution_to_wire(solution)
+            raise wire.WireProtocolError(f"unknown frame kind {kind}")
+
+        return command
+
+    def _serve_connection(self, conn: socket.socket) -> None:
         try:
             conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             # A backend that vanishes without a FIN (host loss, cable
@@ -204,12 +233,13 @@ class WorkerServer:
                 wire.send_error(
                     conn,
                     wire.ProtocolVersionError(
-                        f"worker speaks protocol {wire.PROTOCOL_VERSION}, "
+                        f"{self.role} speaks protocol {wire.PROTOCOL_VERSION}, "
                         f"peer sent {header.get('protocol', version)}"
                     ),
                 )
                 return
             wire.send_frame(conn, wire.HELLO, {"protocol": wire.PROTOCOL_VERSION})
+            command = self._session()
             while not self._closed.is_set():
                 kind, _, header, arrays = wire.recv_frame(conn)
                 if kind == wire.BYE:
@@ -218,46 +248,13 @@ class WorkerServer:
                     wire.send_frame(conn, wire.PONG)
                     continue
                 try:
-                    if kind == wire.SPEC:
-                        spec = wire.spec_from_wire(header, arrays)
-                        module = spec.module
-                        engine = spec.build_engine(prepare=True)
-                        wire.send_frame(
-                            conn, wire.OK, {"chunk_size": engine.chunk_size}
-                        )
-                    elif kind == wire.RECALL:
-                        if module is None:
-                            raise RuntimeError("RECALL before SPEC on this link")
-                        result = module.recognise_batch_seeded(
-                            np.array(arrays["codes"], dtype=np.int64),
-                            np.array(arrays["seeds"], dtype=np.int64),
-                            engine=engine,
-                        )
-                        self.commands_served += 1
-                        wire.send_frame(
-                            conn, wire.RESULT, arrays=wire.result_to_wire(result)
-                        )
-                    elif kind == wire.SOLVE:
-                        if engine is None:
-                            raise RuntimeError("SOLVE before SPEC on this link")
-                        solution = engine.solve_batch(
-                            np.array(arrays["dac"], dtype=np.float64),
-                            include_parasitics=bool(header["include_parasitics"]),
-                        )
-                        self.commands_served += 1
-                        wire.send_frame(
-                            conn,
-                            wire.SOLUTION,
-                            arrays=wire.solution_to_wire(solution),
-                        )
-                    else:
-                        raise wire.WireProtocolError(f"unknown frame kind {kind}")
+                    wire.send_frame(conn, *command(kind, header, arrays))
                 except (wire.ConnectionClosedError, BrokenPipeError, OSError):
                     raise
                 except Exception as error:  # transport, never crash the loop
                     wire.send_error(conn, error)
         except (wire.ConnectionClosedError, ConnectionError, OSError):
-            pass  # peer went away; nothing to answer
+            pass  # peer went away (or tore a frame); nothing to answer
         except wire.WireProtocolError as error:
             try:
                 wire.send_error(conn, error)
@@ -350,505 +347,3 @@ def spawn_local_worker(
             break
     process.terminate()
     raise RuntimeError(f"worker agent failed to start (last output: {line!r})")
-
-
-# ---------------------------------------------------------------------- #
-# Backend
-# ---------------------------------------------------------------------- #
-class _WorkerLink:
-    """One supervised socket link to a worker agent.
-
-    The link serialises frame exchange under :attr:`lock` (one in-flight
-    command per link) and exposes ``alive`` for the dispatcher and the
-    supervisor.  All state transitions go through :meth:`mark_dead` /
-    :meth:`connect` so the two never disagree about liveness.
-    """
-
-    def __init__(self, address: Address, io_timeout: float) -> None:
-        self.address = address
-        self.io_timeout = io_timeout
-        self.lock = threading.Lock()
-        self.sock: Optional[socket.socket] = None
-        self.alive = False
-        self.backoff: float = 0.0
-        self.next_attempt: float = 0.0
-
-    def connect(
-        self, spec_header: dict, spec_arrays: Dict[str, np.ndarray],
-        connect_timeout: float,
-    ) -> Optional[int]:
-        """Dial, handshake and push the spec; returns the worker's chunk size.
-
-        Any failure (refused, version skew, handshake garbage) leaves the
-        link dead and re-raises — the caller decides whether that is
-        fatal (``prepare`` with no survivors) or retryable (supervisor).
-        """
-        sock = socket.create_connection(self.address, timeout=connect_timeout)
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self.io_timeout)
-            wire.send_frame(sock, wire.HELLO, {"protocol": wire.PROTOCOL_VERSION})
-            kind, version, header, _ = wire.recv_frame(sock)
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.HELLO or version != wire.PROTOCOL_VERSION:
-                raise wire.ProtocolVersionError(
-                    f"worker {self.address} answered kind {kind} "
-                    f"protocol {version}; expected HELLO v{wire.PROTOCOL_VERSION}"
-                )
-            wire.send_frame(sock, wire.SPEC, spec_header, spec_arrays)
-            kind, _, header, _ = wire.recv_frame(sock)
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.OK:
-                raise wire.WireProtocolError(
-                    f"worker {self.address} answered SPEC with kind {kind}"
-                )
-        except BaseException:
-            sock.close()
-            raise
-        with self.lock:
-            self.sock = sock
-            self.alive = True
-            self.backoff = 0.0
-        return header.get("chunk_size")
-
-    def mark_dead(self) -> None:
-        """Tear the socket down; the supervisor will schedule a reconnect."""
-        with self.lock:
-            self._mark_dead_locked()
-
-    def _mark_dead_locked(self) -> None:
-        self.alive = False
-        if self.sock is not None:
-            try:
-                self.sock.close()
-            except OSError:
-                pass
-            self.sock = None
-
-    def exchange(self, kind: int, header: Optional[dict], arrays) -> Tuple[int, dict, Dict[str, np.ndarray]]:
-        """Send one command frame and await its reply, holding the lock.
-
-        Socket trouble (EOF, reset, timeout — a worker slower than
-        ``io_timeout`` is indistinguishable from a dead one) marks the
-        link dead and raises :class:`ConnectionError`.
-        """
-        with self.lock:
-            if not self.alive or self.sock is None:
-                raise ConnectionError(f"link to {self.address} is down")
-            try:
-                wire.send_frame(self.sock, kind, header, arrays)
-                reply_kind, _, reply_header, reply_arrays = wire.recv_frame(self.sock)
-            except (OSError, wire.WireProtocolError, wire.ConnectionClosedError) as error:
-                self._mark_dead_locked()
-                raise ConnectionError(
-                    f"worker {self.address} failed mid-command: {error}"
-                ) from error
-            return reply_kind, reply_header, reply_arrays
-
-    def ping(self, timeout: float = 1.0) -> bool:
-        """Heartbeat probe; returns liveness (marking the link on failure).
-
-        ``timeout`` must be the caller's full io budget: once the PING is
-        on the wire its PONG has to be read (or the socket torn down —
-        a late PONG would corrupt the next command's framing), so timing
-        out early declares a merely *slow* worker dead and forces a
-        spurious failover.  The probe skips busy links entirely (a link
-        serving a shard is alive by definition), so a slow probe only
-        delays supervision of the other links, never dispatch.
-        """
-        if not self.lock.acquire(blocking=False):
-            return True  # busy serving a shard — alive by definition
-        try:
-            if not self.alive or self.sock is None:
-                return False
-            try:
-                self.sock.settimeout(min(timeout, self.io_timeout))
-                wire.send_frame(self.sock, wire.PING)
-                kind, _, _, _ = wire.recv_frame(self.sock)
-            except (OSError, wire.WireProtocolError, wire.ConnectionClosedError):
-                self._mark_dead_locked()
-                return False
-            finally:
-                if self.sock is not None:
-                    try:
-                        self.sock.settimeout(self.io_timeout)
-                    except OSError:
-                        pass
-            if kind != wire.PONG:
-                self._mark_dead_locked()
-                return False
-            return True
-        finally:
-            self.lock.release()
-
-    def close(self, timeout: float = 1.0) -> None:
-        """Tear the link down without waiting on an in-flight command.
-
-        A graceful BYE is sent only if the lock is free within
-        ``timeout``; otherwise the socket is force-closed from here — the
-        holder's blocked recv fails immediately with ``OSError`` (handled
-        as a dead link), so backend shutdown never waits out a full
-        ``io_timeout``.
-        """
-        acquired = self.lock.acquire(timeout=timeout)
-        try:
-            sock = self.sock
-            if sock is not None and acquired:
-                try:
-                    wire.send_frame(sock, wire.BYE)
-                except OSError:
-                    pass
-            self.alive = False
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
-            if acquired:
-                self.sock = None
-        finally:
-            if acquired:
-                self.lock.release()
-
-
-class RemoteBackend(RecallBackend):
-    """Recall execution on remote worker agents over the wire protocol.
-
-    Parameters
-    ----------
-    module:
-        The served module; its pickle-free wire spec is pushed to every
-        worker at connect time (and again on every reconnect).
-    workers:
-        Ignored when ``worker_addresses`` is given (the address list
-        defines the replica count); kept for registry-factory
-        compatibility.
-    worker_addresses:
-        Worker agents to dispatch to — ``"host:port,host:port"`` or a
-        sequence of addresses.  Required: a remote backend with no
-        workers has nowhere to run.
-    min_shard_size:
-        A batch is split across workers only when every shard would hold
-        at least this many samples.
-    chunk_size:
-        Explicit Woodbury chunk; ``None`` pins the first worker's
-        autotuned choice into the spec so every replica (including later
-        reconnects) runs the same chunk.
-    connect_timeout, io_timeout:
-        Socket budgets for dialling and for one in-flight command; a
-        worker slower than ``io_timeout`` is treated as crashed and its
-        shard is retried on the survivors.
-    heartbeat_interval:
-        Seconds between idle-link PING probes; dead links found by the
-        probe are reconnected with exponential backoff (``backoff_base``
-        doubling to ``backoff_max``).
-    """
-
-    name = "remote"
-
-    def __init__(
-        self,
-        module: AssociativeMemoryModule,
-        workers: int = 1,
-        worker_addresses: Union[str, Sequence[Union[str, Address]], None] = None,
-        min_shard_size: int = 16,
-        chunk_size: Optional[int] = None,
-        connect_timeout: float = 5.0,
-        io_timeout: float = 60.0,
-        heartbeat_interval: float = 2.0,
-        backoff_base: float = 0.05,
-        backoff_max: float = 2.0,
-        **_ignored,
-    ) -> None:
-        addresses = parse_worker_addresses(worker_addresses)
-        if not addresses:
-            raise ValueError(
-                "remote backend needs worker_addresses "
-                "(e.g. worker_addresses='127.0.0.1:7070,127.0.0.1:7071' or "
-                "--workers 127.0.0.1:7070,127.0.0.1:7071 on the CLI); start "
-                "agents with `python -m repro worker --listen HOST:PORT`"
-            )
-        check_integer("min_shard_size", min_shard_size, minimum=1)
-        self.module = module
-        self.min_shard_size = min_shard_size
-        self.spec = EngineSpec.from_module(module, chunk_size=chunk_size)
-        self.connect_timeout = connect_timeout
-        self.io_timeout = io_timeout
-        self.heartbeat_interval = heartbeat_interval
-        self.backoff_base = backoff_base
-        self.backoff_max = backoff_max
-        self._links = [_WorkerLink(address, io_timeout) for address in addresses]
-        self._prepare_lock = threading.Lock()
-        self._prepared = False
-        self._closed = False
-        self._supervisor: Optional[threading.Thread] = None
-        self._wake = threading.Event()
-        #: Successful reconnects (observability + fault tests).
-        self.reconnects = 0
-        #: Shards retried onto a surviving replica after a worker loss.
-        self.retried_shards = 0
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-    def _spec_wire(self) -> Tuple[dict, Dict[str, np.ndarray]]:
-        return wire.spec_to_wire(self.spec)
-
-    def prepare(self) -> "RemoteBackend":
-        with self._prepare_lock:
-            if self._closed:
-                raise RuntimeError("backend is closed")
-            if self._prepared:
-                return self
-            header, arrays = self._spec_wire()
-            first_error: Optional[BaseException] = None
-            for link in self._links:
-                try:
-                    chunk = link.connect(header, arrays, self.connect_timeout)
-                except Exception as error:
-                    first_error = first_error or error
-                    link.next_attempt = time.monotonic()
-                    continue
-                if self.spec.chunk_size is None and chunk is not None:
-                    # Pin the first replica's autotuned chunk so every
-                    # worker — including later reconnects — runs the same
-                    # chunking and a sample's analog outputs cannot depend
-                    # on which replica served it.
-                    self.spec = EngineSpec.from_module(self.module, chunk_size=chunk)
-                    header, arrays = self._spec_wire()
-            if not any(link.alive for link in self._links):
-                raise ConnectionError(
-                    "no remote worker reachable at "
-                    f"{[link.address for link in self._links]}: {first_error}"
-                )
-            self._supervisor = threading.Thread(
-                target=self._supervise, name="remote-backend-supervisor", daemon=True
-            )
-            self._prepared = True
-            self._supervisor.start()
-            return self
-
-    def _supervise(self) -> None:
-        """Heartbeat idle links; reconnect dead ones with backoff."""
-        while not self._closed:
-            next_heartbeat = time.monotonic() + self.heartbeat_interval
-            for link in self._links:
-                if self._closed:
-                    return
-                if link.alive:
-                    # Probe with the full io budget: a PONG that takes
-                    # longer than a short probe window but arrives within
-                    # io_timeout is a *slow* worker, and slow is not dead
-                    # — a shorter timeout here used to mark such links
-                    # dead and trigger spurious failover (pinned by
-                    # tests/backends/test_remote_faults.py).  Once a PING
-                    # is sent the reply must be read or the socket torn
-                    # down (a late PONG would corrupt the next command's
-                    # framing), so the only safe probe timeout is the one
-                    # that actually defines death.
-                    link.ping(timeout=self.io_timeout)
-                if not link.alive and time.monotonic() >= link.next_attempt:
-                    try:
-                        header, arrays = self._spec_wire()
-                        link.connect(header, arrays, self.connect_timeout)
-                        self.reconnects += 1
-                    except Exception:
-                        link.backoff = min(
-                            self.backoff_max,
-                            (link.backoff * 2) or self.backoff_base,
-                        )
-                        link.next_attempt = time.monotonic() + link.backoff
-            delay = max(0.0, next_heartbeat - time.monotonic())
-            dead = [link for link in self._links if not link.alive]
-            if dead:
-                soonest = min(link.next_attempt for link in dead)
-                delay = min(delay, max(0.0, soonest - time.monotonic()), 0.25)
-            self._wake.wait(timeout=max(delay, 0.01))
-            self._wake.clear()
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self._wake.set()
-        # Close links *before* joining the supervisor: a heartbeat
-        # blocked in a recv on a partitioned link unblocks the moment
-        # its socket is force-closed, so the join stays prompt.
-        for link in self._links:
-            link.close()
-        if self._supervisor is not None:
-            # The supervisor may be blocked inside a reconnect dial
-            # (``socket.create_connection`` honours ``connect_timeout``,
-            # and closing links cannot interrupt it), so the join budget
-            # must cover it — a flat 5 s used to leak the thread past
-            # close() whenever connect_timeout was raised above it.
-            self._supervisor.join(timeout=max(5.0, self.connect_timeout + 1.0))
-        # A reconnect may have raced the first sweep and resurrected a
-        # socket; the second sweep (idempotent) catches it.
-        for link in self._links:
-            link.close()
-
-    def capabilities(self) -> BackendCapabilities:
-        return BackendCapabilities(
-            name=self.name,
-            workers=len(self._links),
-            shards_batches=True,
-            escapes_gil=True,
-        )
-
-    # ------------------------------------------------------------------ #
-    # Dispatch
-    # ------------------------------------------------------------------ #
-    def _live_links(self) -> List[_WorkerLink]:
-        return [link for link in self._links if link.alive]
-
-    def _dispatch_shards(self, count: int, send_one, read_one) -> list:
-        """Shard ``[0, count)`` across live links, retrying lost shards.
-
-        ``send_one(link, begin, end)`` exchanges one shard's frames and
-        returns the reply; ``read_one(reply, begin, end)`` decodes it.
-        A link failing mid-shard is marked dead (the supervisor starts
-        reconnecting immediately) and its shard re-queues for the
-        survivors.  The retryable :class:`WorkerCrashedError` surfaces
-        when every replica is gone — or when a shard has burned its
-        retry budget, so a crash-looping worker (reconnects fine, dies
-        on every command) cannot spin a request forever.
-        """
-        self.prepare()
-        live = self._live_links()
-        if not live:
-            # Give the supervisor one short window — a worker may be
-            # mid-reconnect after a transient drop.
-            self._wake.set()
-            deadline = time.monotonic() + min(1.0, self.connect_timeout)
-            while not live and time.monotonic() < deadline:
-                time.sleep(0.02)
-                live = self._live_links()
-        if not live:
-            raise WorkerCrashedError(
-                "no remote worker replica remains at "
-                f"{[link.address for link in self._links]}; the batch was not "
-                "started and is safe to retry"
-            )
-        pending = list(contiguous_shards(count, len(live), self.min_shard_size))
-        chunks: Dict[int, object] = {}
-        attempts: Dict[Tuple[int, int], int] = {}
-        max_attempts = max(3, 2 * len(self._links))
-        while pending:
-            live = self._live_links()
-            if not live:
-                raise WorkerCrashedError(
-                    "every remote worker replica died with shards in flight; "
-                    "the request was not completed and is safe to retry"
-                )
-            round_shards = pending[: len(live)]
-            pending = pending[len(live):]
-            threads = []
-            outcomes: List[Optional[BaseException]] = [None] * len(round_shards)
-            replies: List[object] = [None] * len(round_shards)
-
-            def run(index: int, link: _WorkerLink, bounds: Tuple[int, int]) -> None:
-                begin, end = bounds
-                try:
-                    replies[index] = send_one(link, begin, end)
-                except BaseException as error:  # noqa: BLE001 — sorted below
-                    outcomes[index] = error
-
-            for index, (link, bounds) in enumerate(zip(live, round_shards)):
-                thread = threading.Thread(
-                    target=run, args=(index, link, bounds), daemon=True
-                )
-                thread.start()
-                threads.append(thread)
-            for thread in threads:
-                thread.join()
-            for index, bounds in enumerate(round_shards):
-                error = outcomes[index]
-                if error is None:
-                    chunks[bounds[0]] = read_one(replies[index], *bounds)
-                elif isinstance(error, ConnectionError):
-                    # Worker loss: re-queue the shard for the survivors
-                    # (or the next reconnect) and poke the supervisor.
-                    attempts[bounds] = attempts.get(bounds, 0) + 1
-                    if attempts[bounds] >= max_attempts:
-                        raise WorkerCrashedError(
-                            f"shard {bounds} failed on {attempts[bounds]} replicas "
-                            "in a row; giving up this request (safe to retry)"
-                        ) from error
-                    pending.append(bounds)
-                    self.retried_shards += 1
-                    self._wake.set()
-                else:
-                    raise error
-        return [chunks[begin] for begin in sorted(chunks)]
-
-    def recall_batch_seeded(
-        self, codes_batch: np.ndarray, request_seeds: Sequence[int]
-    ) -> BatchRecognitionResult:
-        codes = np.asarray(codes_batch, dtype=np.int64)
-        seeds = np.asarray(request_seeds, dtype=np.int64)
-        rows = self.module.crossbar.rows
-        if codes.ndim != 2 or codes.shape[1] != rows:
-            raise ValueError(
-                f"codes_batch must have shape (B, {rows}), got {codes.shape}"
-            )
-        if codes.shape[0] == 0:
-            raise ValueError("codes_batch must not be empty")
-        if seeds.shape != (codes.shape[0],):
-            raise ValueError(
-                f"request_seeds must have shape ({codes.shape[0]},), got {seeds.shape}"
-            )
-
-        def send_one(link, begin, end):
-            kind, header, arrays = link.exchange(
-                wire.RECALL,
-                {"count": end - begin},
-                {"codes": codes[begin:end], "seeds": seeds[begin:end]},
-            )
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.RESULT:
-                raise wire.WireProtocolError(f"RECALL answered with kind {kind}")
-            return arrays
-
-        def read_one(arrays, begin, end):
-            return wire.result_from_wire(arrays)
-
-        chunks = self._dispatch_shards(codes.shape[0], send_one, read_one)
-        return concatenate_batch_results(chunks)
-
-    def solve_batch(
-        self, dac_conductances: np.ndarray, include_parasitics: bool = True
-    ) -> BatchCrossbarSolution:
-        dac = np.asarray(dac_conductances, dtype=float)
-        rows = self.module.crossbar.rows
-        if dac.ndim != 2 or dac.shape[1] != rows:
-            raise ValueError(
-                f"dac_conductances must have shape (B, {rows}), got {dac.shape}"
-            )
-
-        def send_one(link, begin, end):
-            kind, header, arrays = link.exchange(
-                wire.SOLVE,
-                {"include_parasitics": bool(include_parasitics)},
-                {"dac": dac[begin:end]},
-            )
-            if kind == wire.ERROR:
-                raise wire.transported_error(header["type"], header["message"])
-            if kind != wire.SOLUTION:
-                raise wire.WireProtocolError(f"SOLVE answered with kind {kind}")
-            return arrays
-
-        def read_one(arrays, begin, end):
-            return wire.solution_from_wire(arrays, self.module.solver.delta_v)
-
-        chunks = self._dispatch_shards(dac.shape[0], send_one, read_one)
-        return concatenate_batch_solutions(chunks)
-
-    def __del__(self):  # pragma: no cover - last-resort cleanup
-        try:
-            self.close()
-        except Exception:
-            pass

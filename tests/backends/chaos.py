@@ -1,7 +1,8 @@
 """Fault-injection TCP proxy for the remote-backend chaos tests.
 
-:class:`ChaosProxy` sits between a :class:`~repro.backends.remote
-.RemoteBackend` link and a real worker agent, forwarding bytes in both
+:class:`ChaosProxy` sits between one replica link of a ``remote`` or
+``fleet`` backend (:class:`~repro.backends.fleet.FleetSupervisor`) and a
+real worker agent, forwarding bytes in both
 directions while letting a test inject the failure modes distributed
 systems actually see:
 

@@ -33,10 +33,16 @@ from tests.backends.test_remote import wait_until
 
 class TestWeightedShards:
     def test_equal_weights_match_contiguous_rule(self):
-        for count in (7, 24, 100):
-            for workers in (1, 2, 3, 5):
-                equal = weighted_shards(count, [1.0] * workers, 4)
-                assert equal == contiguous_shards(count, workers, 4)
+        """Live weights are ``1/ewma``, never exactly 1.0: the floor rule
+        must hold for any common weight, not only the default."""
+        for weight in (1.0, 1 / 3, 0.1, 7.3e-5, 2.5e3):
+            for count in (7, 16, 24, 100, 599):
+                for workers in (1, 2, 3, 5, 8):
+                    for minimum in (1, 4):
+                        equal = weighted_shards(count, [weight] * workers, minimum)
+                        assert equal == contiguous_shards(count, workers, minimum), (
+                            weight, count, workers, minimum
+                        )
 
     def test_sizes_follow_weights(self):
         shards = weighted_shards(40, [3.0, 1.0], 2)
@@ -207,7 +213,7 @@ class TestWeightedRouting:
             fast_replica = fleet._find(fast.address)
             slow_replica = fleet._find(proxy.address)
             # Slow is not dead: the link stayed alive the whole time …
-            assert slow_replica.link.alive and fleet.reconnects == 0
+            assert slow_replica.alive and fleet.reconnects == 0
             # … but its measured per-row latency dwarfs the fast one's,
             # so routing weight (and therefore rows) shifted away.
             assert slow_replica.ewma_row_seconds > fast_replica.ewma_row_seconds
@@ -224,6 +230,23 @@ class TestWeightedRouting:
             proxy.close()
             fast.close()
             slow.close()
+
+    def test_one_routing_snapshot_per_round(
+        self, fleet_backend, request_codes, request_seeds, monkeypatch
+    ):
+        """A batch with no lost shard is sized and assigned from a single
+        snapshot, so a concurrent EWMA update cannot hand the biggest
+        shard to a different replica than the one it was sized for."""
+        calls = []
+        original = FleetSupervisor._ordered_routable
+
+        def counting(self):
+            calls.append(1)
+            return original(self)
+
+        monkeypatch.setattr(FleetSupervisor, "_ordered_routable", counting)
+        fleet_backend.recall_batch_seeded(request_codes, request_seeds)
+        assert len(calls) == 1
 
 
 class TestControlSocket:

@@ -95,7 +95,7 @@ class TestKillDuringDrain:
         batch = threading.Thread(target=run_batch)
         batch.start()
         # Wait until the proxied replica actually holds a shard …
-        assert wait_until(lambda: proxied.link.lock.locked(), timeout=5.0)
+        assert wait_until(lambda: proxied.lock.locked(), timeout=5.0)
 
         drain_done = threading.Event()
         drain_error = {}
@@ -123,7 +123,7 @@ class TestKillDuringDrain:
         # Recovery: worker returns, supervisor reconnects, readmit works.
         proxy.accept()
         proxy.delay(0.0)
-        assert wait_until(lambda: proxied.link.alive, timeout=10.0)
+        assert wait_until(lambda: proxied.alive, timeout=10.0)
         assert fleet.join(proxy.address)["state"] == "live"
         result = fleet.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference_results)
@@ -158,7 +158,7 @@ class TestJoinThenKillTheJoiner:
             assert wait_until(lambda: upstream.commands_served > 0)
             # … then dies; routing falls back to the original member.
             proxy.refuse(kill_existing=True)
-            assert wait_until(lambda: not joiner.link.alive, timeout=10.0)
+            assert wait_until(lambda: not joiner.alive, timeout=10.0)
             result = fleet.recall_batch_seeded(request_codes, request_seeds)
             assert_results_equal(result, reference_results)
             assert fleet.fleet_stats()["counters"]["joins"] == 1
@@ -192,7 +192,7 @@ class TestRespecWithPartitionedReplica:
         # Heal: the supervisor reconnects *with the new spec* and the
         # replica rejoins routing — same bits from both members.
         proxy.heal()
-        assert wait_until(lambda: proxied.link.alive, timeout=10.0)
+        assert wait_until(lambda: proxied.alive, timeout=10.0)
         served_before = upstream.commands_served
         result = fleet.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference_results)
@@ -242,7 +242,7 @@ class TestLivenessShapes:
         result = fleet.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference_results)
         proxied = fleet._find(proxy.address)
-        assert proxied.link.alive
+        assert proxied.alive
         assert fleet.reconnects == 0 and fleet.retried_shards == 0
 
     def test_partition_kills_in_flight_shard_and_retries(
@@ -256,7 +256,7 @@ class TestLivenessShapes:
         assert_results_equal(result, reference_results)
         assert fleet.retried_shards >= 1
         proxied = fleet._find(proxy.address)
-        assert not proxied.link.alive
+        assert not proxied.alive
 
     def test_half_open_reconnect_stalls_without_hanging_the_fleet(
         self, survivor_and_proxied, request_codes, request_seeds, reference_results
@@ -268,7 +268,7 @@ class TestLivenessShapes:
         # — the third liveness shape, distinct from refused (dial fails
         # fast) and partitioned (established pipe stalls).
         proxy.refuse(kill_existing=True)
-        assert wait_until(lambda: not proxied.link.alive, timeout=10.0)
+        assert wait_until(lambda: not proxied.alive, timeout=10.0)
         proxy.accept()
         proxy.pause()
         reconnects_before = fleet.reconnects
@@ -278,11 +278,11 @@ class TestLivenessShapes:
             result = fleet.recall_batch_seeded(request_codes, request_seeds)
             assert_results_equal(result, reference_results)
         assert fleet.reconnects == reconnects_before
-        assert not proxied.link.alive
+        assert not proxied.alive
         # resume() bridges the stalled dials: the pending HELLO completes
         # (late but intact) and the replica rejoins routing.
         proxy.resume()
-        assert wait_until(lambda: proxied.link.alive, timeout=15.0)
+        assert wait_until(lambda: proxied.alive, timeout=15.0)
         result = fleet.recall_batch_seeded(request_codes, request_seeds)
         assert_results_equal(result, reference_results)
 
@@ -290,10 +290,10 @@ class TestLivenessShapes:
         fleet, _, _, proxy = survivor_and_proxied
         proxied = fleet._find(proxy.address)
         proxy.refuse(kill_existing=True)
-        assert wait_until(lambda: not proxied.link.alive, timeout=10.0)
+        assert wait_until(lambda: not proxied.alive, timeout=10.0)
         # Refused dials cycle quickly (exponential backoff from a tiny
         # base), so reconnect *attempts* keep happening — the supervisor
         # is not stuck the way a half-open dial would leave a naive one.
         proxy.accept()
-        assert wait_until(lambda: proxied.link.alive, timeout=10.0)
+        assert wait_until(lambda: proxied.alive, timeout=10.0)
         assert fleet.reconnects >= 1

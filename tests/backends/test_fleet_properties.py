@@ -106,7 +106,7 @@ class _Driver:
                 self.up.discard(index)
                 if index in self.joined:
                     replica = self.fleet._find(address)
-                    assert wait_until(lambda: not replica.link.alive, timeout=10.0)
+                    assert wait_until(lambda: not replica.alive, timeout=10.0)
         elif event == "drain":
             if (
                 index in self.joined

@@ -318,11 +318,11 @@ class TestSupervision:
         victim.close()
         # Force the loss to be noticed mid-flight.
         remote_backend.recall_batch_seeded(request_codes, request_seeds)
-        assert wait_until(lambda: not remote_backend._links[0].alive)
+        assert wait_until(lambda: not remote_backend._replicas[0].alive)
         # Restart an agent on the same port; the supervisor re-dials it.
         replacement = WorkerServer(host=host, port=port).start()
         try:
-            assert wait_until(lambda: remote_backend._links[0].alive), (
+            assert wait_until(lambda: remote_backend._replicas[0].alive), (
                 "supervisor never reconnected to the restarted worker"
             )
             assert remote_backend.reconnects >= 1
@@ -337,14 +337,12 @@ class TestSupervision:
         """Regression: a worker that reconnects fine but dies on every
         command must not spin a request forever — after the retry
         budget the dispatch raises the retryable WorkerCrashedError."""
-        from repro.backends import remote as remote_module
+        from repro.backends import fleet as fleet_module
 
         def always_crashing(self, kind, header, arrays):
             raise ConnectionError("simulated crash-looping worker")
 
-        monkeypatch.setattr(
-            remote_module._WorkerLink, "exchange", always_crashing
-        )
+        monkeypatch.setattr(fleet_module._Replica, "exchange", always_crashing)
         with pytest.raises(WorkerCrashedError, match="safe to retry"):
             remote_backend.recall_batch_seeded(request_codes, request_seeds)
 
@@ -378,6 +376,26 @@ class TestIntegration:
         finally:
             backend.close()
 
+    def test_remote_adopts_only(self, backend_amm, worker_servers):
+        """``remote`` is a fleet that never spawns workers and never opens a
+        control socket, even when handed the fleet-only options."""
+        from repro.backends import FleetSupervisor
+
+        backend = RemoteBackend(
+            backend_amm,
+            workers=4,
+            worker_addresses=[server.address for server in worker_servers],
+            spawn_workers=2,
+            control=("127.0.0.1", 0),
+        ).prepare()
+        try:
+            assert isinstance(backend, FleetSupervisor)
+            assert backend.control_address is None
+            origins = [entry["origin"] for entry in backend.fleet_stats()["replicas"]]
+            assert origins == ["adopted", "adopted"]
+        finally:
+            backend.close()
+
     def test_evaluate_through_remote_matches_serial(
         self, backend_amm, remote_backend, request_codes
     ):
@@ -404,6 +422,7 @@ class TestIntegration:
             results = service.recognise_many(
                 request_codes, seeds=list(request_seeds), timeout=30.0
             )
+            assert service.stats()["fleet"]["routable"] == 2
         for index, result in enumerate(results):
             assert result.winner_column == reference[index].winner_column
             assert result.dom_code == reference[index].dom_code

@@ -156,6 +156,71 @@ def test_fleet_close_is_prompt_with_reconnect_in_flight(backend_amm):
     # Kill the only worker so the supervisor enters its reconnect loop.
     server.close()
     replica = fleet._replicas_snapshot()[0]
-    assert wait_until(lambda: not replica.link.alive, timeout=10.0)
+    assert wait_until(lambda: not replica.alive, timeout=10.0)
     fleet.close()
     _assert_threads_return_to(baseline)
+
+
+def test_first_shard_runs_on_the_callers_thread(
+    remote_backend, request_codes, request_seeds, monkeypatch
+):
+    """A single-shard batch starts no thread; a multi-shard round starts
+    one per shard after the first."""
+    from repro.backends import fleet as fleet_module
+
+    seen = []
+    original = fleet_module._Replica.exchange
+
+    def recording(self, *args, **kwargs):
+        seen.append(threading.current_thread())
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(fleet_module._Replica, "exchange", recording)
+    remote_backend.recall_batch_seeded(request_codes[:3], request_seeds[:3])
+    assert seen == [threading.current_thread()]
+    seen.clear()
+    remote_backend.recall_batch_seeded(request_codes, request_seeds)
+    assert len(seen) == 2
+    assert seen.count(threading.current_thread()) == 1
+
+
+def test_close_unblocks_a_recv_on_the_callers_thread(backend_amm, request_codes):
+    """close() force-closes a link whose recv is blocked on the caller's
+    own thread: the recall fails promptly with the retryable error
+    instead of waiting out the io budget."""
+    from repro.backends import WorkerCrashedError
+    from tests.backends.chaos import ChaosProxy
+
+    engine = backend_amm.solver.batch_engine
+    engine.prepare(backend_amm.include_parasitics)
+    server = WorkerServer().start()
+    proxy = ChaosProxy(server.address)
+    backend = RemoteBackend(
+        backend_amm,
+        worker_addresses=[proxy.address],
+        chunk_size=engine.chunk_size,
+        heartbeat_interval=30.0,
+        io_timeout=30.0,
+    ).prepare()
+    outcome = []
+
+    def recall():
+        try:
+            backend.recall_batch_seeded(request_codes[:2], [1, 2])
+        except BaseException as error:  # noqa: BLE001 — asserted below
+            outcome.append(error)
+
+    caller = threading.Thread(target=recall)
+    try:
+        proxy.partition()
+        caller.start()
+        replica = backend._replicas[0]
+        assert wait_until(replica.lock.locked, timeout=5.0)
+        backend.close()
+        caller.join(timeout=5.0)
+        assert not caller.is_alive(), "close() left the caller blocked in recv"
+        assert len(outcome) == 1 and isinstance(outcome[0], WorkerCrashedError)
+    finally:
+        backend.close()
+        proxy.close()
+        server.close()
