@@ -1,8 +1,8 @@
 """End-to-end serving benchmark: offered load through the HTTP path.
 
-Boots the micro-batching recognition service (``repro.serving``) on the
-reference 128x40 pipeline and measures what a client actually sees
-through ``POST /recognise``:
+Boots the micro-batching recognition service (``repro.serving``) behind
+its asyncio front end on the reference 128x40 pipeline and measures what
+a client actually sees through ``POST /recognise``:
 
 * an **offered-load sweep**: end-to-end images/second and latency
   percentiles versus client concurrency, with the micro-batcher
@@ -10,16 +10,18 @@ through ``POST /recognise``:
 * a **batch-window sweep**: the same load under different ``max_wait``
   windows (0 = dispatch immediately), the knob trading tail latency for
   batch fill;
-* the **batch_size=1 dispatch reference**: the same service shape but
-  every request dispatched through the legacy per-sample sparse solve
-  (the repository-wide ``batch_size=1`` convention) — the baseline the
-  micro-batching speedup is asserted against;
+* the **batch_size=1 dispatch reference**: the same codes recalled
+  in-process one ``amm.recognise`` sparse solve at a time (the
+  repository-wide ``batch_size=1`` convention, with no HTTP overhead)
+  — the baseline the micro-batching speedup is asserted against;
 * a **streaming-vs-buffered comparison** on one 1000-image request: the
   chunked NDJSON stream must return row-identical results with a far
   earlier first row (incremental delivery instead of one buffered body);
 * a **mixed-priority saturation run**: under saturated load striped
   across priority 0 and priority 9 client threads, high-priority p50
-  latency must measurably beat low-priority.
+  latency must measurably beat low-priority;
+* a **connection sweep** at 16/256/1024 keep-alive connections: the
+  event loop must hold its C=16 throughput and thread count.
 
 The measured trajectory is written to ``BENCH_serving.json`` at the
 repository root (uploaded as a CI artifact next to
@@ -32,15 +34,17 @@ from __future__ import annotations
 
 import json
 import pathlib
+import time
 
 import pytest
 
 from repro.serving import (
     RecognitionClient,
     RecognitionService,
+    latency_summary,
     run_load,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 #: Where the serving trajectory is persisted.
@@ -61,9 +65,8 @@ WINDOW_CONCURRENCY = 8
 IMAGES_PER_REQUEST = 16
 REQUESTS_PER_POINT = 96
 
-#: The slow reference: requests dispatched one sparse MNA solve at a time.
-BATCH1_REQUESTS = 12
-BATCH1_IMAGES_PER_REQUEST = 2
+#: The slow reference: images recalled one sparse MNA solve at a time.
+BATCH1_IMAGES = 24
 
 #: The PR's headline requirements.
 REQUIRED_SPEEDUP = 10.0
@@ -77,7 +80,7 @@ def recall_codes(full_pipeline, full_dataset):
 
 
 def _measure(service, codes, requests, concurrency, images_per_request):
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0, binary_port=None)
     try:
         report = run_load(
             "127.0.0.1",
@@ -90,7 +93,7 @@ def _measure(service, codes, requests, concurrency, images_per_request):
         with RecognitionClient("127.0.0.1", server.port) as client:
             stats = client.stats()
     finally:
-        stop_server(server)
+        stop_async_server(server)
     assert report.errors == 0 and report.rejected == 0
     point = report.as_dict()
     point["server"] = {
@@ -105,22 +108,23 @@ def _measure(service, codes, requests, concurrency, images_per_request):
 def test_http_serving_throughput(full_pipeline, full_dataset, recall_codes, write_result):
     amm = full_pipeline.amm
 
-    # batch_size=1 dispatch: the legacy per-sample reference, measured on a
-    # small request budget because each image is a full sparse MNA solve.
-    batch1_service = RecognitionService(
-        amm,
-        max_batch_size=1,
-        max_wait=0.0,
-        workers=WORKERS,
-        legacy_per_sample=True,
-    )
-    batch1 = _measure(
-        batch1_service,
-        recall_codes,
-        requests=BATCH1_REQUESTS,
-        concurrency=4,
-        images_per_request=BATCH1_IMAGES_PER_REQUEST,
-    )
+    # batch_size=1 dispatch: the per-sample reference, measured on a
+    # small image budget because each image is a full sparse MNA solve.
+    batch1_codes = recall_codes[[i % len(recall_codes) for i in range(BATCH1_IMAGES)]]
+    latencies = []
+    begin = time.perf_counter()
+    for sample in batch1_codes:
+        start = time.perf_counter()
+        amm.recognise(sample)
+        latencies.append(time.perf_counter() - start)
+    elapsed = time.perf_counter() - begin
+    batch1 = {
+        "mode": "in-process amm.recognise loop",
+        "images": BATCH1_IMAGES,
+        "elapsed_seconds": elapsed,
+        "images_per_second": BATCH1_IMAGES / elapsed,
+        "latency": latency_summary(latencies),
+    }
 
     def micro_batched_service(max_wait=MAX_WAIT_SECONDS):
         return RecognitionService(
@@ -240,10 +244,8 @@ def test_streaming_vs_buffered_large_request(
     service = RecognitionService(
         amm, max_batch_size=MAX_BATCH_SIZE, max_wait=MAX_WAIT_SECONDS, workers=WORKERS
     )
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0, binary_port=None)
     try:
-        import time
-
         with RecognitionClient("127.0.0.1", server.port, timeout=120.0) as client:
             begin = time.perf_counter()
             buffered = client.recognise_many(codes, seeds=seeds)
@@ -262,7 +264,7 @@ def test_streaming_vs_buffered_large_request(
                     summary = event
             stream_total = time.perf_counter() - begin
     finally:
-        stop_server(server)
+        stop_async_server(server)
 
     assert summary == {
         "done": True,
@@ -337,7 +339,7 @@ def test_mixed_priority_latency_under_saturation(full_pipeline, recall_codes, wr
         max_queue_depth=256,
         workers=1,
     )
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0, binary_port=None)
     try:
         report = run_load(
             "127.0.0.1",
@@ -351,7 +353,7 @@ def test_mixed_priority_latency_under_saturation(full_pipeline, recall_codes, wr
         with RecognitionClient("127.0.0.1", server.port) as client:
             stats = client.stats()
     finally:
-        stop_server(server)
+        stop_async_server(server)
 
     assert report.errors == 0
     by_priority = report.priority_latency_percentiles()
@@ -400,12 +402,12 @@ def test_served_results_match_offline_recall(full_pipeline, recall_codes):
     subset = recall_codes[:24]
     seeds = list(range(24))
     service = RecognitionService(amm, max_batch_size=16, max_wait=1e-3, workers=WORKERS)
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0, binary_port=None)
     try:
         with RecognitionClient("127.0.0.1", server.port) as client:
             served = client.recognise_many(subset, seeds=seeds)
     finally:
-        stop_server(server)
+        stop_async_server(server)
     reference = amm.recognise_batch_seeded(subset, seeds)
     for index, result in enumerate(served):
         assert result["winner"] == reference[index].winner
@@ -415,39 +417,37 @@ def test_served_results_match_offline_recall(full_pipeline, recall_codes):
 
 
 # --------------------------------------------------------------------- #
-# Connection sweep: async vs threaded front end at high connection counts
+# Connection sweep: the event loop at high connection counts
 # --------------------------------------------------------------------- #
 
-#: Keep-alive connection counts for the frontend comparison.
+#: Keep-alive connection counts for the sweep.
 CONNECTION_SWEEP = (16, 256, 1024)
 SWEEP_IMAGES_PER_REQUEST = 16
 
 
-def test_connection_sweep_async_vs_threaded(full_pipeline, recall_codes, write_result):
-    """Throughput vs keep-alive connection count, both front ends.
+def test_connection_sweep(full_pipeline, recall_codes, write_result):
+    """Throughput and server threads vs keep-alive connection count.
 
-    The thread-per-connection reference pays one OS thread per open
-    connection; the asyncio front end pays one heap object.  The same
-    steady-state offered load (several keep-alive requests per
-    connection from ``run_connection_load``'s single event loop, bodies
-    pre-encoded) is driven at each connection count.  On a multi-core
-    box the thread churn shows up as lost throughput; on the single-core
-    CI runner the GIL already serialises everything, so the asserted
-    floor is parity (the CI smoke's 10% band) and the resource story is
-    recorded alongside: the threaded server holds one OS thread per
-    connection while the async server holds one, period.
+    The asyncio front end pays one heap object per open connection, not
+    one OS thread.  The same steady-state offered load (several
+    keep-alive requests per connection from ``run_connection_load``'s
+    single event loop, bodies pre-encoded) is driven at each connection
+    count, best-of-2.  At C >= 256 throughput must stay above 0.9x the
+    C=16 point (the thread-per-connection server this front end replaced
+    recorded 0.90x of that point at C=1024) and the server's extra
+    thread count must not move from its C=16 value.
     """
     import threading as threading_module
 
-    from repro.serving import run_connection_load, start_async_server, stop_async_server
+    from repro.serving import run_connection_load
 
     amm = full_pipeline.amm
 
     def fresh_service():
         # The sweep opens every connection before the first request, so
         # the instantaneous offered load is connections x images — the
-        # queue must absorb the burst (this measures frontends, not the
-        # admission policy; backpressure is exercised elsewhere).
+        # queue must absorb the burst (this measures the front end, not
+        # the admission policy; backpressure is exercised elsewhere).
         return RecognitionService(
             amm,
             max_batch_size=MAX_BATCH_SIZE,
@@ -456,12 +456,8 @@ def test_connection_sweep_async_vs_threaded(full_pipeline, recall_codes, write_r
             max_queue_depth=max(CONNECTION_SWEEP) * SWEEP_IMAGES_PER_REQUEST * 2,
         )
 
-    def measure(frontend, connections):
-        service = fresh_service()
-        if frontend == "async":
-            server = start_async_server(service, port=0, binary_port=None)
-        else:
-            server = start_server(service, port=0)
+    def measure(connections):
+        server = start_async_server(fresh_service(), port=0, binary_port=None)
         baseline_threads = threading_module.active_count()
         peak_threads = [baseline_threads]
 
@@ -487,73 +483,43 @@ def test_connection_sweep_async_vs_threaded(full_pipeline, recall_codes, write_r
         finally:
             stop_sampling.set()
             sampler.join(2.0)
-            if frontend == "async":
-                stop_async_server(server)
-            else:
-                stop_server(server)
+            stop_async_server(server)
         assert report.errors == 0 and report.rejected == 0, (
-            f"{frontend} frontend at C={connections}: "
-            f"{report.errors} errors, {report.rejected} rejected"
+            f"C={connections}: {report.errors} errors, {report.rejected} rejected"
         )
         point = report.as_dict()
         point["connections"] = connections
         point["server_threads_peak"] = max(peak_threads) - baseline_threads
         return point
 
-    # Per connection count, the two front ends run back to back and each
-    # gets two trials (best-of-2 per frontend): adjacent-in-time pairs
-    # cancel machine drift, and best-of-2 shakes single-run scheduler
-    # noise out of a throughput *comparison* on a one-core runner.
-    sweep = {"threaded": [], "async": []}
+    # Two trials per connection count, best kept: best-of-2 shakes
+    # single-run scheduler noise out of a throughput comparison.
+    sweep = []
     for connections in CONNECTION_SWEEP:
-        best = {}
-        for frontend in ("threaded", "async", "threaded", "async"):
-            point = measure(frontend, connections)
-            held = best.get(frontend)
-            if held is None or point["images_per_second"] > held["images_per_second"]:
-                best[frontend] = point
-        for frontend in ("threaded", "async"):
-            sweep[frontend].append(best[frontend])
+        trials = [measure(connections) for _ in range(2)]
+        sweep.append(max(trials, key=lambda point: point["images_per_second"]))
 
-    _merge_bench_section("connection_sweep", sweep)
-    lines = []
-    for frontend in ("threaded", "async"):
-        for point in sweep[frontend]:
-            lines.append(
-                f"{frontend:<8s} C={point['connections']:<5d} "
-                f"{point['images_per_second']:8.1f} images/s "
-                f"(p99 {point['latency']['p99_ms']:7.1f} ms, "
-                f"{point['server_threads_peak']:4d} extra threads)"
-            )
+    _merge_bench_section("connection_sweep", {"async": sweep})
+    lines = [
+        f"async    C={point['connections']:<5d} "
+        f"{point['images_per_second']:8.1f} images/s "
+        f"(p99 {point['latency']['p99_ms']:7.1f} ms, "
+        f"{point['server_threads_peak']:4d} extra threads)"
+        for point in sweep
+    ]
     write_result("serving_connections", "\n".join(lines))
 
-    by_count = {
-        connections: (threaded_point, async_point)
-        for connections, threaded_point, async_point in zip(
-            CONNECTION_SWEEP, sweep["threaded"], sweep["async"]
+    reference = sweep[0]
+    for point in sweep[1:]:
+        assert point["images_per_second"] > reference["images_per_second"] * 0.90, (
+            f"async JSON frontend fell to {point['images_per_second']:.0f} images/s "
+            f"at C={point['connections']} from "
+            f"{reference['images_per_second']:.0f} images/s at C=16"
         )
-    }
-    for connections, (threaded_point, async_point) in by_count.items():
-        threaded_ips = threaded_point["images_per_second"]
-        async_ips = async_point["images_per_second"]
-        if connections >= 256:
-            # The CI floor: the async frontend must never trail the
-            # threaded reference by more than 10% at high connection
-            # counts (on multi-core hardware it should win outright).
-            assert async_ips > threaded_ips * 0.90, (
-                f"async JSON frontend ({async_ips:.0f} images/s) fell behind the "
-                f"threaded server ({threaded_ips:.0f} images/s) at C={connections}"
-            )
-            # The resource story is unconditional: thread-per-connection
-            # scales threads with C, the event loop does not.
-            assert (
-                async_point["server_threads_peak"]
-                < threaded_point["server_threads_peak"]
-            ), (
-                f"async frontend used {async_point['server_threads_peak']} threads "
-                f"vs threaded {threaded_point['server_threads_peak']} at "
-                f"C={connections}"
-            )
+        assert point["server_threads_peak"] == reference["server_threads_peak"], (
+            f"async frontend used {point['server_threads_peak']} extra threads "
+            f"at C={point['connections']} vs {reference['server_threads_peak']} at C=16"
+        )
 
 
 # --------------------------------------------------------------------- #
@@ -655,12 +621,10 @@ def test_encode_cost_json_vs_binary(full_pipeline, recall_codes, write_result):
     engine ceiling (``BENCH_throughput.json``) survives the entire
     serving stack.
     """
-    import time
-
     import numpy as np
 
     from repro.core.amm import AssociativeMemoryModule
-    from repro.serving import BinaryRecognitionClient, start_async_server, stop_async_server
+    from repro.serving import BinaryRecognitionClient
 
     rng = np.random.default_rng(ENCODE_SEED)
     templates = rng.integers(0, 32, size=(ENCODE_FEATURES, ENCODE_TEMPLATES))

@@ -1,28 +1,37 @@
-"""Async-frontend smoke test: the event loop never loses to threads.
+"""Async-frontend smoke test: HTTP costs the service little throughput.
 
 Builds the reduced pipeline from ``quickstart.py``, serves it from the
-``processes`` execution backend, and drives the same offered JSON load
-through the threaded (thread-per-connection) front end and the asyncio
-front end.  A second async phase then serves JSON and the native binary
-endpoint *concurrently* from the one event loop — mixed traffic — and
-checks the binary answers bit-for-bit against the engine.  The script
-prints both throughputs and fails (exit code 1) if the async front
-end's JSON throughput lands more than 10% below the threaded front end
-under identical offered load: a single-threaded event loop is only
-worth shipping if it holds the line while spending far fewer threads.
+``processes`` execution backend, and offers the same load two ways:
+over JSON HTTP through the asyncio front end, and in-process — the
+same :class:`RecognitionService` driven by ``--concurrency`` threads,
+each calling ``service.recognise_many`` on ``--images-per-request``
+rows, with no HTTP at all.  A second async phase then serves JSON and
+the native binary endpoint *concurrently* from the one event loop —
+mixed traffic — and checks the binary answers bit-for-bit against the
+engine.  The script prints both throughputs and fails (exit code 1) if
+the async JSON throughput lands below ``--floor`` times the in-process
+throughput: the front end must not give away what the batched engine
+and the micro-batcher earn.
+
+The default floor is 0.9x the ratio the retired thread-per-connection
+front end reached against the same in-process reference (median 0.61
+over seven runs of this protocol on a 2-core host), so the single
+event loop must hold at least what the threaded server held.
 
 CI runs this after the unit suite as a throughput smoke check::
 
     python examples/async_frontend_smoke.py
 
 Options: ``--requests N`` (default 48), ``--concurrency C`` (default 8),
-``--images-per-request I`` (default 16), ``--floor F`` (default 0.9).
+``--images-per-request I`` (default 16), ``--floor F``, ``--rounds R``
+(default 3, best-of-R interleaved).
 """
 
 from __future__ import annotations
 
 import argparse
 import threading
+import time
 
 from repro import load_default_dataset
 from repro.core.config import DesignParameters
@@ -32,10 +41,13 @@ from repro.serving import (
     RecognitionService,
     run_load,
     start_async_server,
-    start_server,
     stop_async_server,
-    stop_server,
 )
+
+
+#: Async JSON images/s over in-process images/s below which the smoke
+#: fails (see the module docstring for where it comes from).
+FLOOR = 0.55
 
 
 def _make_service(amm):
@@ -66,13 +78,45 @@ def _drive_json(host, port, codes, arguments):
     return report.images / report.elapsed_seconds
 
 
-def _measure_threaded(amm, codes, arguments):
-    server = start_server(_make_service(amm), port=0)
-    try:
-        _drive_json("127.0.0.1", server.port, codes, arguments)  # warm up
-        return _drive_json("127.0.0.1", server.port, codes, arguments)
-    finally:
-        stop_server(server)
+def _drive_inprocess(service, codes, arguments):
+    """The JSON load's offered work, without HTTP: ``--concurrency``
+    threads each gather ``--images-per-request`` rows per call, drawn
+    and seeded exactly as :func:`run_load` draws them."""
+    counter = iter(range(arguments.requests))
+    lock = threading.Lock()
+    per_request = arguments.images_per_request
+    failure: list = []
+
+    def drive():
+        try:
+            while True:
+                with lock:
+                    request = next(counter, None)
+                if request is None:
+                    return
+                first = request * per_request
+                rows = [(first + offset) % codes.shape[0] for offset in range(per_request)]
+                seeds = [first + offset for offset in range(per_request)]
+                service.recognise_many(codes[rows], seeds=seeds, timeout=60.0)
+        except Exception as error:  # surfaced to the main thread below
+            failure.append(error)
+
+    threads = [threading.Thread(target=drive) for _ in range(arguments.concurrency)]
+    begin = time.perf_counter()
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    elapsed = time.perf_counter() - begin
+    if failure:
+        raise failure[0]
+    return arguments.requests * per_request / elapsed
+
+
+def _measure_inprocess(amm, codes, arguments):
+    with _make_service(amm) as service:
+        _drive_inprocess(service, codes, arguments)  # warm up
+        return _drive_inprocess(service, codes, arguments)
 
 
 def _measure_async(amm, codes, arguments):
@@ -139,7 +183,7 @@ def main(argv=None) -> int:
     parser.add_argument("--requests", type=int, default=48)
     parser.add_argument("--concurrency", type=int, default=8)
     parser.add_argument("--images-per-request", type=int, default=16)
-    parser.add_argument("--floor", type=float, default=0.9)
+    parser.add_argument("--floor", type=float, default=FLOOR)
     parser.add_argument("--rounds", type=int, default=3)
     arguments = parser.parse_args(argv)
 
@@ -157,21 +201,21 @@ def main(argv=None) -> int:
         f"concurrency={arguments.concurrency}"
     )
 
-    # Interleave best-of-N rounds: the threaded and async passes see the
-    # same host load drift, so the ratio compares front ends, not weather.
-    threaded_ips = async_ips = 0.0
+    # Interleave best-of-N rounds: the in-process and async passes see
+    # the same host load drift, so the ratio measures HTTP, not weather.
+    inprocess_ips = async_ips = 0.0
     for _ in range(max(1, arguments.rounds)):
-        threaded_ips = max(
-            threaded_ips, _measure_threaded(pipeline.amm, codes, arguments)
+        inprocess_ips = max(
+            inprocess_ips, _measure_inprocess(pipeline.amm, codes, arguments)
         )
         async_ips = max(
             async_ips, _measure_async(pipeline.amm, codes, arguments)
         )
     binary_batches = _mixed_smoke(pipeline.amm, codes, arguments)
 
-    ratio = async_ips / threaded_ips
-    print(f"  threaded JSON: {threaded_ips:8.1f} images/s")
-    print(f"  async JSON:    {async_ips:8.1f} images/s ({ratio:.2f}x threaded)")
+    ratio = async_ips / inprocess_ips
+    print(f"  in-process:    {inprocess_ips:8.1f} images/s")
+    print(f"  async JSON:    {async_ips:8.1f} images/s ({ratio:.2f}x in-process)")
     print(
         f"  mixed phase: JSON load served with {binary_batches} concurrent "
         "binary batches, all bit-identical to the engine"
@@ -179,7 +223,7 @@ def main(argv=None) -> int:
 
     if ratio < arguments.floor:
         print(
-            f"FAIL: async front end is {ratio:.2f}x threaded, below the "
+            f"FAIL: async front end is {ratio:.2f}x in-process, below the "
             f"{arguments.floor:.2f}x floor — the event loop is dropping "
             "throughput it should be holding"
         )

@@ -36,8 +36,8 @@ from repro.serving import (
     RecognitionClient,
     RecognitionService,
     ServerError,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 
@@ -77,7 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             "control": ("127.0.0.1", 0),
         },
     )
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0, binary_port=None)
     backend = service.pool.backend
     control_host, control_port = backend.control_address
     print(
@@ -189,7 +189,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         flush=True,
     )
 
-    stop_server(server)
+    stop_async_server(server)
     for process in (anchor, joiner):
         if process is not None:
             process.terminate()

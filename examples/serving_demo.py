@@ -24,8 +24,8 @@ from repro.datasets.attlike import load_default_dataset
 from repro.serving import (
     RecognitionClient,
     RecognitionService,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 
@@ -57,7 +57,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         workers=2,
         backend=arguments.backend,
     )
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0, binary_port=None)
     print(f"serving on http://127.0.0.1:{server.port} (backend={arguments.backend})")
 
     correct: List[int] = []
@@ -92,7 +92,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     with RecognitionClient("127.0.0.1", server.port) as client:
         health = client.healthz()
         stats = client.stats()
-    stop_server(server)
+    stop_async_server(server)
 
     if failures or len(correct) != arguments.requests:
         for failure in failures:

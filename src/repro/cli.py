@@ -12,10 +12,9 @@ without writing any code:
   1 = legacy per-sample loop);
 * ``throughput`` — evaluate the corpus through the batched recall engine
   and report images/second (``--backend
-  auto|serial|threads|processes|remote`` recalls through a named
+  auto|serial|threads|processes|remote|fleet`` recalls through a named
   execution backend with ``--workers`` units — ``auto``, the default,
-  routes each batch by a calibrated cost model; ``--backend none`` keeps
-  the legacy engine path without a backend);
+  routes each batch by a calibrated cost model);
 * ``worker`` — run a remote recall worker agent
   (``python -m repro worker --listen HOST:PORT``) that backends created
   with ``--backend remote --workers host:port,...`` dispatch shards to
@@ -26,9 +25,11 @@ without writing any code:
   ``respec``) against the control socket of a serving process booted
   with ``--backend fleet --control HOST:PORT``;
 * ``serve`` — boot the micro-batching recognition service
-  (:mod:`repro.serving`) behind its JSON HTTP API (``POST /recognise``
-  with request priorities and streaming mode, ``GET /healthz``,
-  ``GET /stats``) on the execution backend named by ``--backend``,
+  (:mod:`repro.serving`) behind its asyncio front end: the JSON HTTP API
+  (``POST /recognise`` with request priorities and streaming mode,
+  ``GET /healthz``, ``GET /stats``) plus the binary endpoint on
+  ``--binary-port`` (``--no-binary`` turns it off), on the execution
+  backend named by ``--backend``,
   optionally with per-client token-bucket quotas (``--quota-rate`` /
   ``--quota-burst`` / ``--quota-max-inflight``), and serve until
   interrupted;
@@ -142,35 +143,23 @@ def _command_throughput(arguments: argparse.Namespace) -> str:
     images = dataset.test_images[: arguments.images]
     labels = dataset.test_labels[: arguments.images]
     codes = pipeline.extractor.extract_many(images)
-    if arguments.backend not in (None, "none"):
-        # Seeded recall through a named execution backend; the engine
-        # pool (and, for processes, the workers) is built before timing.
-        from repro.backends import create_backend
+    # Seeded recall through a named execution backend; the engine pool
+    # (and, for processes, the workers) is built before timing.
+    from repro.backends import create_backend
 
-        workers, backend_options = _resolve_workers(arguments)
-        backend = create_backend(
-            arguments.backend, pipeline.amm, workers=workers, **backend_options
-        ).prepare()
-        try:
-            start = time.perf_counter()
-            winners = pipeline.amm.recall_arrays(
-                codes, arguments.batch_size, backend=backend
-            )[0]
-            elapsed = time.perf_counter() - start
-        finally:
-            backend.close()
-        label = f"Backend recall ({arguments.backend} x{arguments.workers})"
-    else:
+    workers, backend_options = _resolve_workers(arguments)
+    backend = create_backend(
+        arguments.backend, pipeline.amm, workers=workers, **backend_options
+    ).prepare()
+    try:
         start = time.perf_counter()
-        if arguments.batch_size == 1:
-            winners = [pipeline.amm.recognise(sample).winner for sample in codes]
-            label = "Per-sample recall"
-        else:
-            winners = pipeline.classify_codes_batch(
-                codes, batch_size=arguments.batch_size
-            ).winner
-            label = "Batched recall"
+        winners = pipeline.amm.recall_arrays(
+            codes, arguments.batch_size, backend=backend
+        )[0]
         elapsed = time.perf_counter() - start
+    finally:
+        backend.close()
+    label = f"Backend recall ({arguments.backend} x{arguments.workers})"
     accuracy = float(np.mean(np.asarray(winners) == labels))
     rows = [
         ["Images", str(len(codes))],
@@ -337,7 +326,6 @@ def _build_service(arguments: argparse.Namespace):
         max_wait=arguments.max_wait_ms * 1e-3,
         max_queue_depth=arguments.queue_depth,
         workers=workers,
-        legacy_per_sample=getattr(arguments, "per_sample", False),
         backend=arguments.backend,
         backend_options=backend_options,
         quota=_build_quota(arguments),
@@ -346,32 +334,20 @@ def _build_service(arguments: argparse.Namespace):
 
 
 def _command_serve(arguments: argparse.Namespace) -> str:
-    from repro.serving import (
-        start_async_server,
-        start_server,
-        stop_async_server,
-        stop_server,
-    )
+    from repro.serving import start_async_server, stop_async_server
 
     _, _, service = _build_service(arguments)
-    if arguments.frontend == "async":
-        server = start_async_server(
-            service,
-            host=arguments.host,
-            port=arguments.port,
-            binary_port=None if arguments.no_binary else arguments.binary_port,
-        )
-        binary = (
-            "disabled"
-            if server.binary_port is None
-            else f"{arguments.host}:{server.binary_port}"
-        )
-        extra = f", binary endpoint {binary}"
-        shutdown = lambda: stop_async_server(server)  # noqa: E731
-    else:
-        server = start_server(service, host=arguments.host, port=arguments.port)
-        extra = ""
-        shutdown = lambda: stop_server(server)  # noqa: E731
+    server = start_async_server(
+        service,
+        host=arguments.host,
+        port=arguments.port,
+        binary_port=None if arguments.no_binary else arguments.binary_port,
+    )
+    binary = (
+        "disabled"
+        if server.binary_port is None
+        else f"{arguments.host}:{server.binary_port}"
+    )
     control_address = getattr(service.pool.backend, "control_address", None)
     if control_address is not None:
         # Parsed by admin tooling the way workers' startup line is.
@@ -382,7 +358,7 @@ def _command_serve(arguments: argparse.Namespace) -> str:
     print(
         f"serving {service.amm.crossbar.rows}x{service.amm.crossbar.columns} "
         f"recognition on http://{arguments.host}:{server.port} "
-        f"(frontend={arguments.frontend}{extra}, "
+        f"(binary endpoint {binary}, "
         f"backend={arguments.backend}, workers={arguments.workers}, "
         f"max_batch_size={arguments.max_batch_size}, "
         f"max_wait={arguments.max_wait_ms} ms); Ctrl-C to stop",
@@ -394,7 +370,7 @@ def _command_serve(arguments: argparse.Namespace) -> str:
     except KeyboardInterrupt:
         pass
     finally:
-        shutdown()
+        stop_async_server(server)
     return "server stopped"
 
 
@@ -406,9 +382,7 @@ def _command_loadtest(arguments: argparse.Namespace) -> str:
         run_connection_load,
         run_load,
         start_async_server,
-        start_server,
         stop_async_server,
-        stop_server,
     )
 
     if arguments.binary and arguments.stream:
@@ -416,10 +390,9 @@ def _command_loadtest(arguments: argparse.Namespace) -> str:
     if arguments.connections is not None and (arguments.binary or arguments.stream):
         raise SystemExit(
             "loadtest: --connections sweeps buffered JSON requests; "
-            "it composes with --frontend, not with --binary/--stream"
+            "it does not compose with --binary/--stream"
         )
     server = None
-    shutdown = None
     binary_port = arguments.binary_port
     if arguments.url:
         url = arguments.url if "//" in arguments.url else f"http://{arguments.url}"
@@ -441,13 +414,8 @@ def _command_loadtest(arguments: argparse.Namespace) -> str:
     else:
         dataset, pipeline, service = _build_service(arguments)
         extractor = pipeline.extractor
-        if arguments.frontend == "async" or arguments.binary:
-            server = start_async_server(service, host="127.0.0.1", port=0, binary_port=0)
-            binary_port = server.binary_port
-            shutdown = lambda: stop_async_server(server)  # noqa: E731
-        else:
-            server = start_server(service, host="127.0.0.1", port=0)
-            shutdown = lambda: stop_server(server)  # noqa: E731
+        server = start_async_server(service, host="127.0.0.1", port=0, binary_port=0)
+        binary_port = server.binary_port
         host, port = "127.0.0.1", server.port
     codes = extractor.extract_many(dataset.test_images)
     priorities = None
@@ -480,8 +448,8 @@ def _command_loadtest(arguments: argparse.Namespace) -> str:
         with RecognitionClient(host, port) as client:
             stats = client.stats()
     finally:
-        if shutdown is not None:
-            shutdown()
+        if server is not None:
+            stop_async_server(server)
     latency = report.latency_percentiles()
     if arguments.binary:
         mode = "binary"
@@ -527,29 +495,19 @@ def _command_lint(arguments: argparse.Namespace) -> tuple:
     return lint_runner.execute(arguments)
 
 
-def _add_backend_option(
-    parser: argparse.ArgumentParser,
-    default: str = "auto",
-    allow_none: bool = False,
-) -> None:
+def _add_backend_option(parser: argparse.ArgumentParser) -> None:
     from repro.backends import backend_names
 
-    choices = list(backend_names())
-    if allow_none:
-        # "none" keeps the legacy engine path (no backend at all)
-        # reachable now that "auto" is the default.
-        choices.append("none")
     parser.add_argument(
         "--backend",
-        default=default,
-        choices=choices,
+        default="auto",
+        choices=list(backend_names()),
         help="execution backend for the recall engine "
         "(auto = cost-model routing over the others [default], "
         "serial = one engine, threads = sharded thread pool, "
         "processes = multi-process engine pool, remote = worker agents "
         "named by --workers host:port,..., fleet = supervised replica "
-        "set with health-weighted routing and a --control admin socket"
-        + (", none = legacy batched path without a backend)" if allow_none else ")"),
+        "set with health-weighted routing and a --control admin socket)",
     )
 
 
@@ -654,7 +612,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=64,
-        help="recall granularity; 1 = legacy per-sample loop",
+        help="rows per backend recall call",
     )
     throughput.add_argument(
         "--workers",
@@ -662,7 +620,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="execution units for --backend (an integer), or with "
         "--backend remote a comma-separated agent list (host:port,...)",
     )
-    _add_backend_option(throughput, default="auto", allow_none=True)
+    _add_backend_option(throughput)
     throughput.set_defaults(handler=_command_throughput)
 
     worker = subparsers.add_parser(
@@ -718,23 +676,16 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080, help="0 = ephemeral port")
     serve.add_argument(
-        "--frontend",
-        default="threaded",
-        choices=("threaded", "async"),
-        help="HTTP front end: threaded = thread-per-connection reference, "
-        "async = single-event-loop server with a native binary endpoint",
-    )
-    serve.add_argument(
         "--binary-port",
         type=int,
         default=0,
-        help="binary endpoint port for --frontend async (0 = ephemeral; "
-        "the bound port is printed on startup)",
+        help="binary endpoint port (0 = ephemeral; the bound port is "
+        "printed on startup)",
     )
     serve.add_argument(
         "--no-binary",
         action="store_true",
-        help="serve JSON only from the async front end (no binary endpoint)",
+        help="serve JSON only (no binary endpoint)",
     )
     serve.add_argument(
         "--control",
@@ -756,12 +707,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument("--requests", type=int, default=200, help="HTTP requests to send")
     loadtest.add_argument("--concurrency", type=int, default=8, help="client threads")
     loadtest.add_argument(
-        "--frontend",
-        default="threaded",
-        choices=("threaded", "async"),
-        help="front end for the in-process server (ignored with --url)",
-    )
-    loadtest.add_argument(
         "--connections",
         type=int,
         default=None,
@@ -772,8 +717,7 @@ def build_parser() -> argparse.ArgumentParser:
     loadtest.add_argument(
         "--binary",
         action="store_true",
-        help="drive the async front end's binary endpoint instead of JSON "
-        "(implies --frontend async for the in-process server)",
+        help="drive the server's binary endpoint instead of JSON",
     )
     loadtest.add_argument(
         "--binary-port",
@@ -787,11 +731,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=16,
         help="code vectors per request; each is queued as its own recall",
-    )
-    loadtest.add_argument(
-        "--per-sample",
-        action="store_true",
-        help="dispatch through the legacy per-sample solver (batch_size=1 reference)",
     )
     loadtest.add_argument(
         "--stream",

@@ -1,19 +1,23 @@
-"""Asyncio front end: the same serving contract, one event loop.
+"""Asyncio front end: the network face of the recognition service.
 
-The threaded reference server (:mod:`repro.serving.server`) spends a
-thread per connection; at hundreds of keep-alive connections the
-scheduler churn (and per-connection stacks) eat the throughput the
-batched engine worked for.  This module serves the identical contract —
-same endpoints, same error taxonomy, same quota/priority/deadline
-semantics, same NDJSON streaming, bit-identical results — from a single
-event loop, plus a **native binary endpoint** on a second port that
-reuses the :mod:`repro.backends.wire` framing so bulk clients never pay
-JSON per row:
+A thread per connection would spend, at hundreds of keep-alive
+connections, the throughput the batched engine worked for on scheduler
+churn and per-connection stacks.  This module serves every connection
+from a single event loop, plus a **native binary endpoint** on a second
+port that reuses the :mod:`repro.backends.wire` framing so bulk clients
+never pay JSON per row:
 
 * **HTTP** — ``POST /recognise`` (buffered and ``"stream": true``
   chunked NDJSON), ``GET /healthz``, ``GET /stats``; HTTP/1.1 keep-alive
-  with the same body-size/411/408 enforcement as the threaded server
-  (all protocol decisions live in :mod:`repro.serving.protocol`).
+  with body-size (400), absent/transfer-encoded length (411) and
+  slow-body (408) enforcement.  Optional body fields: ``"seed"`` /
+  ``"seeds"``, ``"timeout_ms"`` (dispatch deadline — a request still
+  queued when it expires is dropped and answered ``504``),
+  ``"priority"`` (0–9, higher dispatches first and survives shedding),
+  ``"client_id"`` (also the ``X-Client-Id`` header; names the caller
+  for quotas) and ``"stream"``.  Rejections answer ``429`` (``"reason"``
+  ``quota`` or ``backpressure``) or ``503`` with ``Retry-After``; all
+  protocol decisions live in :mod:`repro.serving.protocol`.
 * **Binary** — a :data:`~repro.backends.wire.HELLO` handshake (version
   mismatch answered with a typed ``ERROR`` frame, never a hang), then
   any number of :data:`~repro.backends.wire.RECOGNISE` request frames
@@ -42,8 +46,8 @@ cancelled", which is an ordinary per-row outcome (503 ``cancelled``).
 
 :func:`start_async_server` runs the loop on a dedicated daemon thread
 (the rest of the process stays synchronous); :func:`stop_async_server`
-tears it down cleanly.  ``python -m repro serve --frontend async``
-selects this front end.
+tears it down cleanly; ``python -m repro serve`` and ``loadtest`` run
+on it.
 """
 
 from __future__ import annotations
@@ -237,17 +241,38 @@ class AsyncRecognitionServer:
             self.loop.close()
 
     async def _bind(self) -> None:
-        # Deep listen backlog, matching the threaded front end: a burst
-        # of simultaneous connects must never hit kernel SYN drops.
+        # Deep listen backlog (the kernel clamps it to somaxconn): a
+        # burst of simultaneous connects must never hit SYN drops, which
+        # retry on exponential backoff and read as multi-second stalls.
         self._http_server = await asyncio.start_server(
-            self._handle_http, self.host, self.port, backlog=1024
+            self._accept(self._handle_http), self.host, self.port, backlog=1024
         )
         self.port = self._http_server.sockets[0].getsockname()[1]
         if self.binary_port is not None:
             self._binary_server = await asyncio.start_server(
-                self._handle_binary, self.host, self.binary_port, backlog=1024
+                self._accept(self._handle_binary),
+                self.host,
+                self.binary_port,
+                backlog=1024,
             )
             self.binary_port = self._binary_server.sockets[0].getsockname()[1]
+
+    def _accept(self, handler):
+        """The connection callback: runs ``handler`` in a task this server owns.
+
+        Handing ``asyncio.start_server`` the coroutine function itself
+        would let its stream protocol wrap each connection in a task
+        whose done-callback, on Python 3.11, calls ``task.exception()``
+        on the tasks :meth:`_shutdown` cancels — one logged traceback
+        per open connection at every stop.
+        """
+
+        def accept(reader: asyncio.StreamReader, writer: asyncio.StreamWriter) -> None:
+            task = self.loop.create_task(handler(reader, writer))
+            self._conn_tasks.add(task)
+            task.add_done_callback(self._conn_tasks.discard)
+
+        return accept
 
     def stop(self, close_service: bool = True) -> None:
         if self.loop is not None and self.loop.is_running():
@@ -285,8 +310,6 @@ class AsyncRecognitionServer:
     async def _handle_http(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
         self._http_live += 1
         self._http_total += 1
         sock = writer.get_extra_info("socket")
@@ -332,7 +355,6 @@ class AsyncRecognitionServer:
             return  # peer went away mid-exchange
         finally:
             self._http_live -= 1
-            self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -478,9 +500,9 @@ class AsyncRecognitionServer:
         outcomes: Dict[int, object] = {}
         results: List[object] = []
         # Scanned in row order (not arrival order) so a multi-row failure
-        # reports the lowest failed row, exactly like the threaded
-        # server's sequential gather; the moment that row fails, the
-        # unresolved tail is abandoned without waiting for it.
+        # reports the lowest failed row, exactly like the service's
+        # sequential ``recognise_many`` gather; the moment that row fails,
+        # the unresolved tail is abandoned without waiting for it.
         next_scan = 0
         try:
             while next_scan < total:
@@ -534,7 +556,8 @@ class AsyncRecognitionServer:
         :meth:`RecognitionService.recognise_stream` (which is a blocking
         generator) with awaits in place of blocking waits; the window
         size, retry policy, mass-fail tail and abandonment semantics are
-        kept identical so both front ends stream the same bytes.
+        kept identical, so the stream carries the outcomes the in-process
+        generator yields.
         """
         service = self.service
         loop = self.loop
@@ -690,8 +713,6 @@ class AsyncRecognitionServer:
     async def _handle_binary(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        task = asyncio.current_task()
-        self._conn_tasks.add(task)
         self._binary_live += 1
         self._binary_total += 1
         sock = writer.get_extra_info("socket")
@@ -737,7 +758,6 @@ class AsyncRecognitionServer:
             return
         finally:
             self._binary_live -= 1
-            self._conn_tasks.discard(task)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -1043,7 +1063,6 @@ def _parse_binary_recognise(
         timeout_ms=timeout_ms,
         priority=priority,
         client_id=client_id,
-        wait=protocol.wait_budget(timeout_ms, default=MAX_REQUEST_TIMEOUT),
     )
 
 
@@ -1086,7 +1105,7 @@ async def _write_error(
 
 
 # ---------------------------------------------------------------------- #
-# Lifecycle helpers (mirror server.start_server / stop_server)
+# Lifecycle helpers
 # ---------------------------------------------------------------------- #
 def start_async_server(
     service: RecognitionService,

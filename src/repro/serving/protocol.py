@@ -1,18 +1,18 @@
-"""Protocol-agnostic request logic shared by every serving front end.
+"""Protocol-agnostic request logic of the serving front end.
 
-The threaded HTTP server (:mod:`repro.serving.server`), the asyncio
-front end (:mod:`repro.serving.aio`) and its binary wire endpoint all
-serve the *same* request contract: the same body validation, the same
-error taxonomy, the same quota/priority/deadline plumbing and the same
-stream-windowing policy.  This module is that contract in one place, so
-a front end can only differ in transport — never in semantics:
+The JSON HTTP endpoint and the binary wire endpoint of
+:mod:`repro.serving.aio` serve the *same* request contract: the same
+body validation, the same error taxonomy, the same
+quota/priority/deadline plumbing and the same stream-windowing policy.
+This module is that contract in one place, so the endpoints can only
+differ in transport — never in semantics:
 
 * **Result / error projection** — :func:`result_to_json`,
   :func:`classify_error`, :func:`row_error_to_json` and
   :func:`error_payload` define the one mapping from engine results and
   exceptions to the JSON the client sees (whole-request statuses and
   per-row stream errors share it, so the taxonomy cannot drift between
-  the buffered, streaming, threaded and async paths).
+  the buffered, streaming and binary paths).
 * **Body validation** — :func:`integral_array` / :func:`integral_scalar`
   reject non-integral payloads instead of silently truncating them, and
   :func:`parse_recognise` turns a decoded ``POST /recognise`` body into
@@ -28,8 +28,7 @@ a front end can only differ in transport — never in semantics:
   see the ``encode_cost`` section of ``BENCH_serving.json``).
 
 Transport-level constants (body-size bound, read deadlines, keep-alive
-idle timeout) live here too so the two HTTP front ends enforce identical
-limits.
+idle timeout) live here too.
 """
 
 from __future__ import annotations
@@ -101,7 +100,7 @@ def classify_error(error: BaseException) -> Tuple[int, str]:
 
     One mapping for whole-request statuses and per-row stream errors, so
     the error taxonomy cannot drift between the buffered and streaming
-    paths — or between the threaded and async front ends.
+    paths — or between the JSON and binary endpoints.
     """
     if isinstance(error, QuotaExceededError):
         return 429, "quota"
@@ -122,23 +121,20 @@ def classify_error(error: BaseException) -> Tuple[int, str]:
     return 500, "internal"
 
 
-def retry_after_seconds(error: BaseException) -> int:
-    """``Retry-After`` hint (whole seconds) for retryable rejections."""
-    retry_after = getattr(error, "retry_after", None)
-    return 1 if retry_after is None else max(1, int(math.ceil(retry_after)))
-
-
 def error_payload(error: BaseException) -> Tuple[int, dict, Tuple[Tuple[str, str], ...]]:
     """One exception's whole-request response: status, body and headers.
 
     Returns ``(status, payload, extra_headers)``; retryable rejections
-    (429/503) carry a ``Retry-After`` header.  Internal errors expose the
-    exception type — everything else only its message.
+    (429/503) carry a ``Retry-After`` header in whole seconds (at least
+    1).  Internal errors expose the exception type — everything else
+    only its message.
     """
     status, reason = classify_error(error)
     headers: Tuple[Tuple[str, str], ...] = ()
     if status in (429, 503):
-        headers = (("Retry-After", str(retry_after_seconds(error))),)
+        retry_after = getattr(error, "retry_after", None)
+        seconds = 1 if retry_after is None else max(1, int(math.ceil(retry_after)))
+        headers = (("Retry-After", str(seconds)),)
     payload = {"error": str(error), "reason": reason}
     if status == 500:
         payload["error"] = f"{type(error).__name__}: {error}"
@@ -206,8 +202,7 @@ class ParsedRecognise:
 
     ``codes`` is always a 2-D ``(B, features)`` batch; ``single`` records
     whether the client posted the 1-D single-image form (its response
-    carries a ``"result"`` convenience field).  ``wait`` is the front
-    end's whole-request wait budget in seconds (see :func:`wait_budget`).
+    carries a ``"result"`` convenience field).
     """
 
     codes: np.ndarray
@@ -217,24 +212,19 @@ class ParsedRecognise:
     timeout_ms: Optional[float]
     priority: int
     client_id: Optional[str]
-    wait: float
 
 
-def wait_budget(
-    timeout_ms: Optional[float], default: Optional[float] = None
-) -> float:
+def wait_budget(timeout_ms: Optional[float], default: float) -> float:
     """How long a front end waits on the service for one request.
 
     The wait tracks the request's own deadline: shorter deadlines stop
     the client waiting long after its budget is spent, longer ones are
-    honoured past the default wait (up to a hard ceiling) instead of
-    being abandoned at :data:`DEFAULT_REQUEST_TIMEOUT`.  ``default``
-    lets a front end substitute its own (possibly monkeypatched)
-    deadline-free wait.
+    honoured past the ``default`` deadline-free wait (normally
+    :data:`DEFAULT_REQUEST_TIMEOUT`) up to a hard ceiling.
     """
     if timeout_ms is not None and timeout_ms > 0:
         return min(timeout_ms * 1e-3 + DEADLINE_WAIT_SLACK, MAX_REQUEST_TIMEOUT)
-    return DEFAULT_REQUEST_TIMEOUT if default is None else default
+    return default
 
 
 def parse_seeds(
@@ -301,7 +291,6 @@ def parse_recognise(
         timeout_ms=timeout_ms,
         priority=priority,
         client_id=client_id,
-        wait=wait_budget(timeout_ms),
     )
 
 
@@ -354,12 +343,12 @@ class SlowBodyError(RuntimeError):
 class StreamLineEncoder:
     """NDJSON line encoder for one streamed request, counting outcomes.
 
-    Both chunked-response writers (threaded and async) feed their
-    ``(index, outcome)`` events through one of these: :meth:`line`
-    renders a row event, :meth:`summary` the clean terminal line and
-    :meth:`abnormal_summary` the terminal line of a stream whose event
-    source blew up mid-way (the remaining rows are counted as failed, so
-    the client's tallies always add up to ``count``).
+    The chunked-response writer feeds its ``(index, outcome)`` events
+    through one of these: :meth:`line` renders a row event,
+    :meth:`summary` the clean terminal line and :meth:`abnormal_summary`
+    the terminal line of a stream whose event source blew up mid-way
+    (the remaining rows are counted as failed, so the client's tallies
+    always add up to ``count``).
     """
 
     def __init__(self, total: int) -> None:

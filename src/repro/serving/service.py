@@ -23,9 +23,10 @@ recall engine:
 
 Very large multi-image requests stream through
 :meth:`RecognitionService.recognise_stream`, which submits rows in
-bounded windows and yields each row's outcome as its future resolves —
-the HTTP front end turns that into a chunked NDJSON response, so a
-1000-image request is served incrementally with flat server-side memory.
+bounded windows and yields each row's outcome as its future resolves;
+the HTTP front end applies the same windowing policy to its chunked
+NDJSON responses, so a 1000-image request is served incrementally with
+flat server-side memory.
 
 Every request carries a seed for its private random substream (see
 :meth:`~repro.core.amm.AssociativeMemoryModule.recognise_batch_seeded`),
@@ -189,9 +190,6 @@ class RecognitionService:
     workers:
         Execution units in the pool (engine replicas — threads or
         processes, depending on the backend).
-    legacy_per_sample:
-        Dispatch through the legacy per-sample sparse solve instead of
-        the batched engine (the ``batch_size=1`` benchmark reference).
     metrics:
         Metric sink; a fresh :class:`ServiceMetrics` when omitted.
     backend:
@@ -221,7 +219,6 @@ class RecognitionService:
         max_wait: float = 2e-3,
         max_queue_depth: int = 1024,
         workers: int = 1,
-        legacy_per_sample: bool = False,
         metrics: Optional[ServiceMetrics] = None,
         backend: str = "threads",
         backend_options: Optional[dict] = None,
@@ -249,7 +246,6 @@ class RecognitionService:
             amm,
             workers=workers,
             metrics=self.metrics,
-            legacy_per_sample=legacy_per_sample,
             backend=backend,
             backend_options=backend_options,
         )

@@ -105,9 +105,6 @@ class ShardedWorkerPool:
         threads / processes) and concurrent dispatcher threads.
     metrics:
         Sink for completion counts and latencies.
-    legacy_per_sample:
-        Dispatch every request through the legacy per-sample sparse solve
-        instead of a backend (benchmark baseline only).
     min_shard_size:
         Forwarded to the backend: a micro-batch is split across execution
         units only when the resulting shards would hold at least this
@@ -133,28 +130,15 @@ class ShardedWorkerPool:
         amm: AssociativeMemoryModule,
         workers: int = 1,
         metrics: Optional[ServiceMetrics] = None,
-        legacy_per_sample: bool = False,
         min_shard_size: int = 16,
         backend: Union[str, RecallBackend, None] = "threads",
         backend_options: Optional[dict] = None,
     ) -> None:
         check_integer("workers", workers, minimum=1)
         check_integer("min_shard_size", min_shard_size, minimum=1)
-        self.amm = amm
         self.metrics = metrics or ServiceMetrics()
-        self.legacy_per_sample = legacy_per_sample
-        # The legacy path runs amm.recognise(), which draws from the
-        # module's shared numpy Generator and mutates neuron state —
-        # neither is thread-safe, so per-sample recalls serialise.
-        self._legacy_lock = threading.Lock()
         if backend is None:
             backend = "threads"
-        if legacy_per_sample and isinstance(backend, str):
-            # The legacy path never touches a backend (every request is
-            # one locked amm.recognise() sparse solve); keep an unprepared
-            # serial backend for the capability surface instead of paying
-            # for engine replicas or worker processes nothing will use.
-            backend = "serial"
         # Explicit backend_options win over the pool's defaults (a caller
         # tuning min_shard_size for a remote deployment should not
         # collide with the forwarded pool default).
@@ -163,8 +147,7 @@ class ShardedWorkerPool:
         self.backend, self._owns_backend = resolve_backend(
             backend, amm, workers=workers, **options
         )
-        if not legacy_per_sample:
-            self.backend.prepare()
+        self.backend.prepare()
         self.workers = max(1, self.backend.capabilities().workers)
         # Highest-priority batch first; FIFO within a priority via the
         # monotonic sequence number (which also keeps the never-compared
@@ -191,17 +174,6 @@ class ShardedWorkerPool:
     def min_shard_size(self) -> int:
         """The backend's live sharding threshold (1 when it never shards)."""
         return getattr(self.backend, "min_shard_size", 1)
-
-    @min_shard_size.setter
-    def min_shard_size(self, value: int) -> None:
-        # Sharding lives in the backend now; keep the pre-refactor pool
-        # attribute as a delegating alias rather than a silent no-op.
-        check_integer("min_shard_size", value, minimum=1)
-        if not hasattr(self.backend, "min_shard_size"):
-            raise AttributeError(
-                f"backend {self.backend.capabilities().name!r} does not shard"
-            )
-        self.backend.min_shard_size = value
 
     # ------------------------------------------------------------------ #
     # Dispatch
@@ -251,21 +223,15 @@ class ShardedWorkerPool:
     def _drop_expired(self, batch: List[PendingRequest]) -> List[PendingRequest]:
         """Resolve deadline-expired requests before they reach the backend."""
         now = time.monotonic()
-        live: List[PendingRequest] = []
-        expired = 0
+        live = [pending for pending in batch if not pending.expired(now)]
+        if len(live) == len(batch):
+            return live
+        self.metrics.record_expired(len(batch) - len(live))
         for pending in batch:
-            if pending.expired(now):
-                if pending.future.set_running_or_notify_cancel():
-                    pending.future.set_exception(
-                        DeadlineExceededError(
-                            "request deadline expired before dispatch"
-                        )
-                    )
-                expired += 1
-            else:
-                live.append(pending)
-        if expired:
-            self.metrics.record_expired(expired)
+            if pending.expired(now) and pending.future.set_running_or_notify_cancel():
+                pending.future.set_exception(
+                    DeadlineExceededError("request deadline expired before dispatch")
+                )
         return live
 
     def _process(self, batch: List[PendingRequest]) -> None:
@@ -286,29 +252,25 @@ class ShardedWorkerPool:
         # The fill histogram counts what actually reaches the engine —
         # the dispatched live size, not the collected size.
         self.metrics.record_batch(len(live))
+        # Metrics are recorded before the futures resolve, so a caller
+        # that reads /stats right after its answer sees itself counted.
         try:
             codes = np.stack([pending.codes for pending in live])
-            if self.legacy_per_sample:
-                with self._legacy_lock:
-                    results = [self.amm.recognise(sample) for sample in codes]
-            else:
-                seeds = [pending.seed for pending in live]
-                results = list(self.backend.recall_batch_seeded(codes, seeds))
+            seeds = [pending.seed for pending in live]
+            results = list(self.backend.recall_batch_seeded(codes, seeds))
         except Exception as error:  # resolve every caller, never swallow
+            self.metrics.record_failed(len(live))
             for pending in live:
                 pending.future.set_exception(error)
-            self.metrics.record_failed(len(live))
             return
         now = time.monotonic()
-        latencies = []
-        for pending, result in zip(live, results):
-            pending.future.set_result(result)
-            latencies.append(now - pending.enqueued_at)
         self.metrics.record_completed(
-            latencies,
+            [now - pending.enqueued_at for pending in live],
             priorities=[pending.priority for pending in live],
             client_ids=[pending.client_id for pending in live],
         )
+        for pending, result in zip(live, results):
+            pending.future.set_result(result)
 
     # ------------------------------------------------------------------ #
     # Lifecycle

@@ -1,15 +1,10 @@
 """Semantics matrix for the asyncio front end (`repro.serving.aio`).
 
-The async server must be behaviourally indistinguishable from the
-threaded reference over the JSON API — same results bit for bit, same
-error taxonomy (400/404/408/411/429/503/504), same priority, quota,
-deadline and streaming semantics.  Both front ends are built on
-``repro.serving.protocol``, and this file pins the equivalence from the
-outside: every test drives real sockets against a real server.
-
-The body-limit regressions (trickling client, oversized declaration,
-chunked upload) are tested against *both* front ends here, since the
-threaded server's slow-body deadline landed in the same change.
+Over the JSON API the server must answer exactly what the in-process
+service answers — same results bit for bit — with the full error
+taxonomy (400/404/408/411/429/503/504) and the priority, quota,
+deadline and streaming semantics of ``repro.serving.protocol``.  Every
+test drives real sockets against a real server.
 """
 
 from __future__ import annotations
@@ -23,16 +18,15 @@ import numpy as np
 import pytest
 
 import repro.serving.aio as aio_module
-import repro.serving.server as server_module
 from repro.serving import (
+    BinaryRecognitionClient,
     QuotaConfig,
     RecognitionClient,
     RecognitionService,
     ServerError,
+    result_to_json,
     start_async_server,
-    start_server,
     stop_async_server,
-    stop_server,
 )
 from tests.serving.test_regressions import wait_for
 
@@ -83,44 +77,46 @@ class TestJsonParity:
     def test_bit_identical_with_threaded_frontend(
         self, serving_amm, request_codes, request_seeds
     ):
-        """The determinism contract is frontend-independent: the same
-        (codes, seeds) through either front end yields byte-identical
-        JSON result objects."""
+        """The determinism contract is transport-independent: the same
+        (codes, seeds) over HTTP yields byte-identical JSON result
+        objects to the in-process ``recognise_many`` gather (which is
+        what a thread-per-connection front end would serialise)."""
         seeds = [int(seed) for seed in request_seeds[:10]]
-        threaded = start_server(make_service(serving_amm), port=0)
-        try:
-            with RecognitionClient("127.0.0.1", threaded.port) as client:
-                via_threads = client.recognise_many(request_codes[:10], seeds=seeds)
-        finally:
-            stop_server(threaded)
+        with make_service(serving_amm) as service:
+            in_process = [
+                result_to_json(result)
+                for result in service.recognise_many(request_codes[:10], seeds=seeds)
+            ]
         asynch = start_async_server(make_service(serving_amm), port=0, binary_port=None)
         try:
             with RecognitionClient("127.0.0.1", asynch.port) as client:
                 via_loop = client.recognise_many(request_codes[:10], seeds=seeds)
         finally:
             stop_async_server(asynch)
-        assert via_loop == via_threads
+        assert via_loop == in_process
 
     def test_streaming_matches_threaded_frontend(
         self, serving_amm, request_codes, request_seeds
     ):
+        """The NDJSON stream carries, line for line, the outcomes of the
+        in-process ``recognise_stream`` generator."""
         seeds = [int(seed) for seed in request_seeds[:8]]
-
-        def collect(port):
-            with RecognitionClient("127.0.0.1", port) as client:
-                return list(client.recognise_stream(request_codes[:8], seeds=seeds))
-
-        threaded = start_server(make_service(serving_amm), port=0)
-        try:
-            threaded_lines = collect(threaded.port)
-        finally:
-            stop_server(threaded)
+        with make_service(serving_amm) as service:
+            in_process = [
+                {"index": index, "result": result_to_json(outcome)}
+                for index, outcome in service.recognise_stream(
+                    request_codes[:8], seeds=seeds
+                )
+            ]
         asynch = start_async_server(make_service(serving_amm), port=0, binary_port=None)
         try:
-            async_lines = collect(asynch.port)
+            with RecognitionClient("127.0.0.1", asynch.port) as client:
+                async_lines = list(
+                    client.recognise_stream(request_codes[:8], seeds=seeds)
+                )
         finally:
             stop_async_server(asynch)
-        assert async_lines == threaded_lines
+        assert async_lines[:-1] == in_process
         assert async_lines[-1] == {"done": True, "count": 8, "ok": 8, "failed": 0}
 
     def test_healthz_and_stats(self, async_server):
@@ -275,29 +271,21 @@ class TestErrorTaxonomy:
 
 
 class TestBodyLimits:
-    """Content-Length enforcement and slow-body deadlines, both front ends."""
+    """Content-Length enforcement and slow-body deadlines."""
 
-    @pytest.fixture(params=["threaded", "async"])
-    def either_server(self, request, serving_amm):
+    # One param keeps the ``[async]`` test ids these cases have always had.
+    @pytest.fixture(params=["async"])
+    def limited_server(self, serving_amm):
         service = make_service(serving_amm)
-        if request.param == "async":
-            server = start_async_server(service, port=0, binary_port=None)
-            yield request.param, server
-            if not service.closed:
-                stop_async_server(server)
-        else:
-            server = start_server(service, port=0)
-            yield request.param, server
-            if not service.closed:
-                stop_server(server)
+        server = start_async_server(service, port=0, binary_port=None)
+        yield server
+        if not service.closed:
+            stop_async_server(server)
 
-    def _timeout_module(self, kind):
-        return aio_module if kind == "async" else server_module
-
-    def test_oversized_declaration_rejected_before_read(self, either_server):
+    def test_oversized_declaration_rejected_before_read(self, limited_server):
         from repro.serving import protocol
 
-        kind, server = either_server
+        server = limited_server
         connection = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=10.0
         )
@@ -317,8 +305,8 @@ class TestBodyLimits:
         finally:
             connection.close()
 
-    def test_chunked_body_rejected_411(self, either_server):
-        kind, server = either_server
+    def test_chunked_body_rejected_411(self, limited_server):
+        server = limited_server
         connection = http.client.HTTPConnection(
             "127.0.0.1", server.port, timeout=10.0
         )
@@ -337,13 +325,13 @@ class TestBodyLimits:
             connection.close()
 
     def test_trickling_client_hits_read_deadline(
-        self, either_server, monkeypatch
+        self, limited_server, monkeypatch
     ):
         """A client that declares a body and then stalls cannot hold a
         handler past ``BODY_READ_TIMEOUT``: the server answers 408 and
         drops the connection."""
-        kind, server = either_server
-        monkeypatch.setattr(self._timeout_module(kind), "BODY_READ_TIMEOUT", 0.3)
+        server = limited_server
+        monkeypatch.setattr(aio_module, "BODY_READ_TIMEOUT", 0.3)
         with socket.create_connection(
             ("127.0.0.1", server.port), timeout=10.0
         ) as sock:
@@ -474,3 +462,40 @@ def test_clean_shutdown_and_port_release(serving_amm, request_codes):
     second = start_async_server(second_service, port=port, binary_port=0)
     assert second.port == port
     stop_async_server(second)
+
+
+def test_stop_with_idle_connections_logs_nothing(serving_amm, request_codes):
+    """Stopping the server tears down idle keep-alive handlers quietly.
+
+    Each open connection's handler task is cancelled by the shutdown;
+    a handler that lets the cancellation escape makes the stream
+    protocol's done-callback raise on Python 3.11, which the loop
+    reports through its exception handler as one traceback per idle
+    connection.
+    """
+    service = make_service(serving_amm)
+    server = start_async_server(service, port=0, binary_port=0)
+    reported: list = []
+    installed = threading.Event()
+
+    def install():
+        server.loop.set_exception_handler(lambda loop, context: reported.append(context))
+        installed.set()
+
+    server.loop.call_soon_threadsafe(install)
+    assert installed.wait(10.0)
+    json_client = RecognitionClient("127.0.0.1", server.port)
+    binary_client = BinaryRecognitionClient("127.0.0.1", server.binary_port)
+    try:
+        json_client.recognise(request_codes[0], seed=1)
+        assert binary_client.recognise_batch(request_codes[:2], seeds=[1, 2]).ok == 2
+        stats = server.frontend_stats()
+        assert stats["connections"] == 1 and stats["binary_connections"] == 1
+        stop_async_server(server)
+    finally:
+        json_client.close()
+        binary_client.close()
+    assert reported == []
+    assert not [
+        thread for thread in threading.enumerate() if thread.name == "recognition-aio"
+    ]

@@ -19,8 +19,8 @@ from repro.serving import (
     RecognitionClient,
     RecognitionService,
     ServerError,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 
@@ -86,7 +86,7 @@ class TestHttpDeadlines:
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, workers=1
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         try:
             with RecognitionClient("127.0.0.1", server.port) as client:
                 # Fill the dispatch slots through the gated backend.
@@ -115,11 +115,11 @@ class TestHttpDeadlines:
                 assert stats["requests"]["expired"] == 1
         finally:
             gated_backend.set()
-            stop_server(server)
+            stop_async_server(server)
 
     def test_timeout_ms_round_trip_without_pressure(self, serving_amm, request_codes):
         service = RecognitionService(serving_amm, max_batch_size=8, max_wait=0.0)
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         try:
             with RecognitionClient("127.0.0.1", server.port) as client:
                 result = client.recognise(request_codes[0], seed=3, timeout_ms=30_000)
@@ -129,15 +129,15 @@ class TestHttpDeadlines:
                 )
                 assert len(batch) == 4
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_bad_timeout_ms_maps_to_400(self, serving_amm, request_codes):
         service = RecognitionService(serving_amm, max_batch_size=8, max_wait=0.0)
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         try:
             with RecognitionClient("127.0.0.1", server.port) as client:
                 with pytest.raises(ServerError) as excinfo:
                     client.recognise(request_codes[0], timeout_ms=-1.0)
                 assert excinfo.value.status == 400
         finally:
-            stop_server(server)
+            stop_async_server(server)

@@ -21,8 +21,8 @@ from repro.serving import (
     RecognitionClient,
     RecognitionService,
     ServerError,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 from tests.serving.test_regressions import wait_for
 
@@ -256,9 +256,9 @@ class TestHttpQuota:
             max_wait=1e-3,
             quota=QuotaConfig(rate=1e-3, burst=2),
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         yield server
-        stop_server(server)
+        stop_async_server(server)
 
     def test_quota_429_reason_and_retry_after(self, quota_server, request_codes):
         import http.client
@@ -368,7 +368,7 @@ class TestRetryAfterContract:
             max_wait=1e-3,
             quota=QuotaConfig(rate=0.5, burst=1),
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         try:
             with RecognitionClient(
                 "127.0.0.1", server.port, client_id="hinted"
@@ -401,7 +401,7 @@ class TestRetryAfterContract:
             finally:
                 connection.close()
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_waiting_retry_after_actually_admits(self, serving_amm, request_codes):
         """Advance an injected clock by exactly the hinted (integer)
@@ -441,7 +441,7 @@ class TestRetryAfterContract:
         """An inflight-cap denial has no refill time (retry_after None);
         the HTTP layer still emits an integer hint of 1, and once the
         in-flight rows resolve the retry is admitted."""
-        from repro.serving.server import _retry_after_header
+        from repro.serving.protocol import error_payload
 
         gate, _ = recall_gate
         clock = FakeClock()
@@ -459,7 +459,8 @@ class TestRetryAfterContract:
             with pytest.raises(QuotaExceededError) as excinfo:
                 service.submit(request_codes[2], seed=9, client_id="capped")
             assert excinfo.value.retry_after is None
-            ((name, value),) = _retry_after_header(excinfo.value)
+            status, _, ((name, value),) = error_payload(excinfo.value)
+            assert status == 429
             assert name == "Retry-After"
             assert value == str(int(value)) and int(value) >= 0
             gate.set()

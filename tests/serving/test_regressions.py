@@ -28,8 +28,8 @@ from repro.serving import (
     RecognitionService,
     ServiceClosedError,
     ShardedWorkerPool,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 
@@ -128,9 +128,9 @@ class TestNonIntegralCodes:
     @pytest.fixture()
     def running_server(self, serving_amm):
         service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3)
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         yield server
-        stop_server(server)
+        stop_async_server(server)
 
     def post(self, port, body: dict):
         import http.client

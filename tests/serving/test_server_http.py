@@ -1,4 +1,4 @@
-"""HTTP front-end tests: endpoints, error mapping, clean shutdown."""
+"""HTTP front-end tests: endpoints, error mapping, explicit-port boot."""
 
 import http.client
 import json
@@ -10,18 +10,18 @@ from repro.serving import (
     RecognitionClient,
     RecognitionService,
     ServerError,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 
 @pytest.fixture()
 def running_server(serving_amm):
     service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3, workers=2)
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0, binary_port=None)
     yield server
     if not service.closed:
-        stop_server(server)
+        stop_async_server(server)
 
 
 def raw_post(port, path, body: bytes, content_type="application/json"):
@@ -106,10 +106,8 @@ class TestErrorMapping:
         assert status == 400 and "error" in payload
 
     def test_never_admittable_batch_400_not_429(self, serving_amm, request_codes):
-        from repro.serving import RecognitionService, start_server, stop_server
-
         service = RecognitionService(serving_amm, max_batch_size=4, max_queue_depth=4)
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         try:
             rows = np.tile(request_codes[0], (6, 1)).tolist()
             status, payload = raw_post(
@@ -118,7 +116,7 @@ class TestErrorMapping:
             assert status == 400
             assert "split (or stream) the request" in payload["error"]
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_client_raises_server_error(self, running_server):
         with RecognitionClient("127.0.0.1", running_server.port) as client:
@@ -153,7 +151,7 @@ class TestErrorMapping:
     def test_unserved_request_maps_to_504(self, running_server, request_codes, monkeypatch):
         import threading
 
-        import repro.serving.server as server_module
+        import repro.serving.aio as aio_module
         from repro.backends.threaded import ThreadedBackend
 
         gate = threading.Event()
@@ -164,7 +162,7 @@ class TestErrorMapping:
             return original(self, codes_batch, request_seeds)
 
         monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", gated_recall)
-        monkeypatch.setattr(server_module, "DEFAULT_REQUEST_TIMEOUT", 0.05)
+        monkeypatch.setattr(aio_module, "DEFAULT_REQUEST_TIMEOUT", 0.05)
         try:
             body = json.dumps({"codes": request_codes[0].tolist()}).encode()
             status, payload = raw_post(running_server.port, "/recognise", body)
@@ -178,22 +176,7 @@ class TestErrorMapping:
         body = json.dumps({"codes": request_codes[0].tolist()}).encode()
         status, payload = raw_post(running_server.port, "/recognise", body)
         assert status == 503
-        stop_server(running_server, close_service=False)
-
-
-def test_clean_shutdown_and_port_release(serving_amm, request_codes):
-    service = RecognitionService(serving_amm, max_batch_size=4, max_wait=0.0)
-    server = start_server(service, port=0)
-    port = server.port
-    with RecognitionClient("127.0.0.1", port) as client:
-        client.recognise(request_codes[0])
-    stop_server(server)
-    assert service.closed
-    # The socket is released: a fresh service can bind the same port.
-    second_service = RecognitionService(serving_amm, max_batch_size=4, max_wait=0.0)
-    second = start_server(second_service, port=port)
-    assert second.port == port
-    stop_server(second)
+        stop_async_server(running_server, close_service=False)
 
 
 def test_explicit_port_boot_uses_free_port_fixture(
@@ -203,11 +186,11 @@ def test_explicit_port_boot_uses_free_port_fixture(
     from the shared ``free_port`` fixture (never a hard-coded number or
     a bind-retry loop) and serve on it normally."""
     service = RecognitionService(serving_amm, max_batch_size=4, max_wait=0.0)
-    server = start_server(service, port=free_port)
+    server = start_async_server(service, port=free_port, binary_port=None)
     try:
         assert server.port == free_port
         with RecognitionClient("127.0.0.1", free_port) as client:
             assert client.healthz()["status"] == "ok"
             client.recognise(request_codes[0], seed=3)
     finally:
-        stop_server(server)
+        stop_async_server(server)

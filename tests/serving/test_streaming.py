@@ -22,18 +22,18 @@ from repro.serving import (
     RecognitionClient,
     RecognitionService,
     ServerError,
-    start_server,
-    stop_server,
+    start_async_server,
+    stop_async_server,
 )
 
 
 @pytest.fixture()
 def running_server(serving_amm):
     service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3, workers=2)
-    server = start_server(service, port=0)
+    server = start_async_server(service, port=0, binary_port=None)
     yield server
     if not service.closed:
-        stop_server(server)
+        stop_async_server(server)
 
 
 class TestStreamRoundTrip:
@@ -112,7 +112,7 @@ class TestWindowedSubmission:
         service = RecognitionService(
             serving_amm, max_batch_size=4, max_wait=0.0, max_queue_depth=8, workers=2
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         codes = np.tile(request_codes, (3, 1))[:64]
         seeds = list(range(64))
         try:
@@ -134,7 +134,7 @@ class TestWindowedSubmission:
                     reference[index].static_power, rel=1e-9
                 )
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_window_clamped_to_quota_inflight_cap(self, serving_amm, request_codes):
         """A client whose max_inflight is below the default window must
@@ -149,7 +149,7 @@ class TestWindowedSubmission:
             workers=1,
             quota=QuotaConfig(rate=1e9, burst=256, max_inflight=4),
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         try:
             with RecognitionClient(
                 "127.0.0.1", server.port, client_id="small-tenant"
@@ -161,7 +161,7 @@ class TestWindowedSubmission:
                 )
             assert events[-1] == {"done": True, "count": 12, "ok": 12, "failed": 0}
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_stream_honours_per_row_timeout_ms_on_healthy_server(
         self, running_server, request_codes
@@ -202,7 +202,7 @@ class TestPartialFailure:
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, workers=1
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         try:
             # Fill the gated dispatch pipeline from a side thread so the
             # streamed rows sit in the queue past their 1 ms deadline.
@@ -233,7 +233,7 @@ class TestPartialFailure:
             assert service.metrics.expired == 4
         finally:
             gate.set()
-            stop_server(server)
+            stop_async_server(server)
 
     def test_service_stream_yields_exceptions_per_row(
         self, serving_amm, request_codes, recall_gate
@@ -383,7 +383,7 @@ class TestStreamAbandonment:
             workers=1,
             quota=QuotaConfig(rate=1e9, burst=256, max_inflight=256),
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         codes = np.tile(request_codes, (2, 1))[:24]
         seeds = list(range(1000, 1024))
         try:
@@ -414,7 +414,7 @@ class TestStreamAbandonment:
                 "every row was solved despite the client leaving"
             )
         finally:
-            stop_server(server)
+            stop_async_server(server)
 
     def test_service_generator_close_cancels_and_releases_quota(
         self, serving_amm, request_codes, monkeypatch
@@ -485,7 +485,7 @@ class TestStreamAdmission:
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, max_queue_depth=2, workers=1
         )
-        server = start_server(service, port=0)
+        server = start_async_server(service, port=0, binary_port=None)
         try:
             from repro.serving import BackpressureError
 
@@ -522,4 +522,4 @@ class TestStreamAdmission:
                 future.result(timeout=20.0)
         finally:
             gate.set()
-            stop_server(server)
+            stop_async_server(server)

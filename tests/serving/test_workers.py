@@ -103,23 +103,6 @@ class TestDispatch:
         finally:
             pool.close()
 
-    def test_legacy_per_sample_path(self, request_codes):
-        from tests.serving.conftest import build_amm
-
-        amm = build_amm(include_parasitics=True)
-        pool = ShardedWorkerPool(amm, workers=1, legacy_per_sample=True)
-        try:
-            batch = [make_pending(codes, 1) for codes in request_codes[:3]]
-            pool.dispatch(batch)
-            results = [pending.future.result(timeout=20.0) for pending in batch]
-        finally:
-            pool.close()
-        twin = build_amm(include_parasitics=True)
-        for codes, result in zip(request_codes[:3], results):
-            expected = twin.recognise(codes)
-            assert result.winner_column == expected.winner_column
-            assert result.dom_code == expected.dom_code
-
     def test_worker_error_propagates_to_futures(self, serving_amm, request_codes):
         pool = ShardedWorkerPool(serving_amm, workers=1)
         try:
