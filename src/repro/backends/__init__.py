@@ -52,9 +52,9 @@ compute; this package owns *where and how* it executes:
     :class:`~repro.backends.costmodel.CostModel` for each (per-shard
     fixed cost + per-image marginal cost + effective parallel speedup)
     and sends every batch to whichever candidate the model predicts
-    cheapest for that batch size.  The serial candidate's Woodbury chunk
-    is pinned into every other candidate, so the routing decision never
-    changes a result bit.
+    cheapest for that batch size.  Every row's result depends only on
+    that row's inputs, so the routing decision never changes a result
+    bit.
 
 All backends execute the *seeded* recall path, so results are a pure
 function of ``(module, codes, seed)`` — invariant across backend choice,

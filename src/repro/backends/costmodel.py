@@ -4,9 +4,7 @@ Parallel backends only pay when a batch is large enough for the per-shard
 dispatch overhead (staging buffers, a pipe/socket round trip, a worker
 wakeup) to amortise — on small batches serial wins, and ``BENCH_backends``
 showed it winning every contest on a small host.  Instead of hard-coding
-a crossover, the ``auto`` backend *measures* one at :meth:`prepare` time,
-exactly like the Woodbury chunk autotune in
-:class:`~repro.crossbar.batched.BatchedCrossbarEngine`:
+a crossover, the ``auto`` backend *measures* one at :meth:`prepare` time:
 
 1. for each candidate backend, time two single-shard dispatches at a
    small and a large batch size (minimum over a few repeats — scheduler

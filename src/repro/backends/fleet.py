@@ -18,8 +18,8 @@ those agents:
   receives proportionally fewer rows — it is never declared dead for
   being slow (slow ≠ dead), it just stops being the bottleneck.  Because
   routing only decides *which replica* solves a shard and every recall
-  runs the seeded path with the fleet's pinned Woodbury chunk, no routing
-  decision can change a result bit.
+  runs the row-independent seeded path, no routing decision can change a
+  result bit.
 * :class:`RemoteBackend` — registered as ``"remote"``: the same
   supervisor over adopted workers only (``worker_addresses`` required,
   nothing spawned, no control socket).
@@ -275,8 +275,8 @@ class _Replica:
     def connect(
         self, spec_header: dict, spec_arrays: Dict[str, np.ndarray],
         connect_timeout: float,
-    ) -> Optional[int]:
-        """Dial, handshake and push the spec; returns the worker's chunk size.
+    ) -> None:
+        """Dial, handshake and push the spec.
 
         Any failure (refused, version skew, handshake garbage) leaves the
         link dead and re-raises — the caller decides whether that is
@@ -294,7 +294,6 @@ class _Replica:
             self.sock = sock
             self.alive = True
             self.backoff = 0.0
-        return header.get("chunk_size")
 
     def mark_dead(self) -> None:
         """Tear the socket down; the supervisor will schedule a reconnect."""
@@ -444,10 +443,6 @@ class FleetSupervisor(RecallBackend):
     min_shard_size:
         A batch is split across replicas only when every shard would hold
         at least this many samples.
-    chunk_size:
-        Explicit Woodbury chunk; ``None`` pins the first worker's
-        autotuned choice into the spec so every replica (including later
-        reconnects and joiners) runs the same chunk.
     connect_timeout, io_timeout:
         Socket budgets for dialling and for one in-flight command; a
         worker slower than ``io_timeout`` is treated as crashed and its
@@ -477,7 +472,6 @@ class FleetSupervisor(RecallBackend):
         worker_addresses: Union[str, Sequence[Union[str, Address]], None] = None,
         spawn_workers: Optional[int] = None,
         min_shard_size: int = 16,
-        chunk_size: Optional[int] = None,
         connect_timeout: float = 5.0,
         io_timeout: float = 60.0,
         heartbeat_interval: float = 2.0,
@@ -505,7 +499,7 @@ class FleetSupervisor(RecallBackend):
             )
         self.module = module
         self.min_shard_size = min_shard_size
-        self.spec = EngineSpec.from_module(module, chunk_size=chunk_size)
+        self.spec = EngineSpec.from_module(module)
         self.connect_timeout = connect_timeout
         self.io_timeout = io_timeout
         self.heartbeat_interval = heartbeat_interval
@@ -584,23 +578,10 @@ class FleetSupervisor(RecallBackend):
             first_error: Optional[BaseException] = None
             for replica in self._replicas_snapshot():
                 try:
-                    chunk = replica.connect(
-                        header, arrays, self.connect_timeout
-                    )
+                    replica.connect(header, arrays, self.connect_timeout)
                 except Exception as error:
                     first_error = first_error or error
                     replica.next_attempt = time.monotonic()
-                    continue
-                if self.spec.chunk_size is None and chunk is not None:
-                    # Pin the first replica's autotuned chunk so every
-                    # member — joiners and reconnects included — runs
-                    # the same chunking and a sample's analog outputs
-                    # cannot depend on which replica served it.
-                    with self._fleet_lock:
-                        self.spec = EngineSpec.from_module(
-                            self.module, chunk_size=chunk
-                        )
-                    header, arrays = self._spec_wire()
             if not any(r.alive for r in self._replicas_snapshot()):
                 raise ConnectionError(
                     f"no {self.name} worker reachable at "
@@ -813,6 +794,7 @@ class FleetSupervisor(RecallBackend):
             and np.array_equal(result.tie, expected.tie)
             and np.array_equal(result.codes, expected.codes)
         )
+        # Tolerant: the replica may run on another host's BLAS build.
         analog = np.allclose(
             result.column_currents,
             expected.column_currents,
@@ -826,18 +808,15 @@ class FleetSupervisor(RecallBackend):
     def respec(
         self,
         module: Optional[AssociativeMemoryModule] = None,
-        chunk_size: Optional[int] = None,
         drain_timeout: float = 30.0,
     ) -> List[dict]:
         """Rolling spec update: drain → push → canary → readmit, per replica.
 
         ``module=None`` re-pushes the current module (the admin
         ``respec`` verb: re-synchronise the fleet, e.g. after in-process
-        reprogramming); the Woodbury chunk stays pinned unless
-        ``chunk_size`` overrides it, so a same-module re-spec is
-        bit-invisible to results.  The roll never touches more than one
-        replica at a time, so a fleet of two or more keeps serving
-        throughout.  Returns one report entry per replica:
+        reprogramming), bit-invisible to results.  The roll never
+        touches more than one replica at a time, so a fleet of two or
+        more keeps serving throughout.  Returns one report entry per replica:
         ``{"address", "outcome"}`` with outcome ``updated`` (canary
         passed, readmitted), ``skipped-dead`` (will get the new spec on
         reconnect), ``lost`` (failed mid-push; ditto), or
@@ -847,9 +826,7 @@ class FleetSupervisor(RecallBackend):
         self.prepare()
         if module is None:
             module = self.module
-        if chunk_size is None:
-            chunk_size = self.spec.chunk_size
-        new_spec = EngineSpec.from_module(module, chunk_size=chunk_size)
+        new_spec = EngineSpec.from_module(module)
         expected = self._canary_expected(new_spec)
         with self._fleet_lock:
             self.spec = new_spec
@@ -1139,7 +1116,6 @@ class FleetSupervisor(RecallBackend):
             "replicas": entries,
             "routable": len(routable),
             "spec_version": self.spec_version,
-            "chunk_size": self.spec.chunk_size,
             "control_address": (
                 None if control is None else f"{control[0]}:{control[1]}"
             ),
@@ -1163,7 +1139,7 @@ class FleetSupervisor(RecallBackend):
 #: The transport knobs ``remote`` forwards; other options are ignored,
 #: since the registry passes one option set to whichever backend was named.
 _REMOTE_KNOBS = frozenset({
-    "min_shard_size", "chunk_size", "connect_timeout", "io_timeout",
+    "min_shard_size", "connect_timeout", "io_timeout",
     "heartbeat_interval", "backoff_base", "backoff_max",
 })
 

@@ -145,7 +145,7 @@ def _worker_main(spec: EngineSpec, in_name: str, out_name: str, max_batch: int, 
             offset=max_batch * rows * 8,
         )
         out = _views(out_shm.buf, layout)
-        conn.send(("ready", engine.chunk_size))
+        conn.send(("ready",))
         while True:
             try:
                 message = conn.recv()
@@ -216,13 +216,11 @@ class _WorkerHandle:
         )
         self.process.start()
         child_conn.close()
-        self.chunk_size = None
 
     def wait_ready(self) -> None:
         reply = self._recv()
         if reply[0] != "ready":  # pragma: no cover - defensive
             raise RuntimeError(f"worker {self.index} failed to start: {reply!r}")
-        self.chunk_size = reply[1]
 
     def _recv(self):
         """Receive one reply, watching worker liveness while waiting."""
@@ -285,9 +283,6 @@ class ProcessPoolBackend(RecallBackend):
     min_shard_size:
         A batch is split across workers only when every shard would hold
         at least this many samples.
-    chunk_size:
-        Explicit Woodbury chunk size; ``None`` lets each worker autotune
-        on its own host.
     max_batch_size:
         Capacity (samples) of each worker's shared-memory buffers; larger
         batches are processed in rounds.
@@ -304,7 +299,6 @@ class ProcessPoolBackend(RecallBackend):
         module: AssociativeMemoryModule,
         workers: int = 1,
         min_shard_size: int = 16,
-        chunk_size: Optional[int] = None,
         max_batch_size: int = 512,
         start_method: str = "spawn",
         **_ignored,
@@ -316,7 +310,7 @@ class ProcessPoolBackend(RecallBackend):
         self.workers = workers
         self.min_shard_size = min_shard_size
         self.max_batch_size = max_batch_size
-        self.spec = EngineSpec.from_module(module, chunk_size=chunk_size)
+        self.spec = EngineSpec.from_module(module)
         self._context = multiprocessing.get_context(start_method)
         self._handles: List[_WorkerHandle] = []
         self._free: Optional[queue.Queue] = None
@@ -357,21 +351,10 @@ class ProcessPoolBackend(RecallBackend):
             raise RuntimeError("backend is closed")
         if not self._handles:
             free: queue.Queue = queue.Queue()
-            # The first worker autotunes the Woodbury chunk (when none
-            # was configured); its choice is pinned into the spec before
-            # the rest spawn, so every replica — including later crash
-            # respawns — runs the same chunk and a sample's analog
-            # outputs cannot depend on which worker served it.
-            first = self._spawn(0)
-            first.wait_ready()
-            if self.spec.chunk_size is None and first.chunk_size is not None:
-                self.spec = EngineSpec.from_module(
-                    self.module, chunk_size=first.chunk_size
-                )
-            rest = [self._spawn(index) for index in range(1, self.workers)]
-            for handle in rest:
+            handles = [self._spawn(index) for index in range(self.workers)]
+            for handle in handles:
                 handle.wait_ready()
-            self._handles = [first] + rest
+            self._handles = handles
             for handle in self._handles:
                 free.put(handle)
             self._free = free

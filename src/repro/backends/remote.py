@@ -185,7 +185,7 @@ class WorkerServer:
                 spec = wire.spec_from_wire(header, arrays)
                 module = spec.module
                 engine = spec.build_engine(prepare=True)
-                return wire.OK, {"chunk_size": engine.chunk_size}, None
+                return wire.OK, {}, None
             if kind == wire.RECALL:
                 if module is None:
                     raise RuntimeError("RECALL before SPEC on this link")

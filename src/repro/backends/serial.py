@@ -9,7 +9,7 @@ serial backend sample-for-sample is correct by definition.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,9 +29,6 @@ class SerialBackend(RecallBackend):
     ----------
     module:
         The (read-only) module recalls are served from.
-    chunk_size:
-        Explicit Woodbury chunk size for the engine replica; ``None``
-        autotunes at :meth:`prepare` time.
     """
 
     name = "serial"
@@ -39,11 +36,10 @@ class SerialBackend(RecallBackend):
     def __init__(
         self,
         module: AssociativeMemoryModule,
-        chunk_size: Optional[int] = None,
         **_ignored,
     ) -> None:
         self.module = module
-        self.spec = EngineSpec.from_module(module, chunk_size=chunk_size)
+        self.spec = EngineSpec.from_module(module)
         self._engine = None
         self._closed = False
 

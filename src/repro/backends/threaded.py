@@ -52,9 +52,6 @@ class ThreadedBackend(RecallBackend):
     min_shard_size:
         A batch is split only when every shard would hold at least this
         many samples.
-    chunk_size:
-        Explicit Woodbury chunk size for the replicas; ``None`` autotunes
-        once and shares the tuned value across replicas.
     """
 
     name = "threads"
@@ -64,7 +61,6 @@ class ThreadedBackend(RecallBackend):
         module: AssociativeMemoryModule,
         workers: int = 1,
         min_shard_size: int = 16,
-        chunk_size: Optional[int] = None,
         **_ignored,
     ) -> None:
         check_integer("workers", workers, minimum=1)
@@ -72,7 +68,7 @@ class ThreadedBackend(RecallBackend):
         self.module = module
         self.workers = workers
         self.min_shard_size = min_shard_size
-        self.spec = EngineSpec.from_module(module, chunk_size=chunk_size)
+        self.spec = EngineSpec.from_module(module)
         self._engines: Optional[queue.Queue] = None
         self._executor: Optional[concurrent.futures.ThreadPoolExecutor] = None
         self._prepare_lock = threading.Lock()
@@ -87,13 +83,8 @@ class ThreadedBackend(RecallBackend):
                 raise RuntimeError("backend is closed")
             if self._engines is None:
                 engines: queue.Queue = queue.Queue()
-                first = self.spec.build_engine()
-                engines.put(first)
-                # Autotuning ran once on the first replica; the others
-                # reuse the tuned chunk so replicas behave identically.
-                tuned = EngineSpec.from_module(self.module, chunk_size=first.chunk_size)
-                for _ in range(self.workers - 1):
-                    engines.put(tuned.build_engine())
+                for _ in range(self.workers):
+                    engines.put(self.spec.build_engine())
                 self._engines = engines
                 self._executor = concurrent.futures.ThreadPoolExecutor(
                     max_workers=self.workers, thread_name_prefix="recall-backend"

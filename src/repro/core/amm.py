@@ -791,10 +791,10 @@ class AssociativeMemoryModule:
         the ``base_seed + i`` substream instead of the module's sequential
         stream, so the discrete arrays (winners, acceptance, ties) are
         identical for every backend choice, worker count, shard boundary
-        and ``batch_size``; the analog ``static_power`` agrees to solver
-        precision (chunk/shard shapes can shift BLAS kernel paths by a
-        few ulps).  Both differ from the default (module-stream) path
-        whenever the module draws per-evaluation noise.
+        and ``batch_size``, and so is the analog ``static_power``, bit for
+        bit (the engine solves every row independently of its batch).
+        Both differ from the default (module-stream) path whenever the
+        module draws per-evaluation noise.
         """
         if backend is None and (workers != 1 or base_seed != 0):
             # Silently ignoring these would also silently keep the

@@ -34,16 +34,30 @@ recognition outputs (winner, DOM codes, tie flags) are identical.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
 from repro.crossbar.array import ResistiveCrossbar
-from repro.utils.validation import check_integer, check_positive
+from repro.utils.validation import check_positive
+
+#: Byte budget of the transient ``(chunk, rows, rows)`` system stack on the
+#: parasitic path: 4 MiB is 32 samples at the reference 128 rows.  Rows are
+#: solved independently, so the chunk bounds memory and never changes a bit.
+STACK_BYTES = 4 << 20
+
+
+def rowwise_matmul(x: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """``x @ matrix`` computed as one mat-vec per row of ``x``.
+
+    A plain ``(B, n) @ (n, m)`` GEMM rounds a row differently depending on
+    where it falls in the batch; the stacked ``(B, 1, n)`` form runs the
+    same mat-vec for every row, so each output row depends only on its own
+    input row and equals the per-sample ``x[b] @ matrix`` bit for bit.
+    """
+    return np.matmul(x[:, None, :], matrix)[:, 0, :]
 
 
 @dataclass(frozen=True)
@@ -101,41 +115,19 @@ class BatchedCrossbarEngine:
     termination_resistance:
         Input resistance (Ω) of the column clamp (already floored to the
         solver minimum by the caller).
-    chunk_size:
-        Samples per stacked LAPACK solve on the parasitic path.  ``None``
-        (default) picks one for the crossbar geometry at :meth:`prepare`
-        time: a quick autotune times the candidate chunk sizes on a
-        synthetic batch and keeps the fastest.  Every sample's
-        ``(I + D W)`` system is solved independently inside the stacked
-        call, so chunking never changes discrete outcomes; analog outputs
-        may differ in the last few ulps (different BLAS kernel paths for
-        different batch shapes) but agree to solver precision.
     """
-
-    #: Samples per stacked LAPACK call when no ``chunk_size`` was given
-    #: and autotuning has not run: bounds the transient ``(chunk, rows,
-    #: rows)`` system tensor to a few MB for the reference design.
-    WOODBURY_CHUNK = 64
-
-    #: Chunk sizes tried by the :meth:`prepare`-time autotune.
-    CHUNK_CANDIDATES = (16, 32, 64, 128)
 
     def __init__(
         self,
         crossbar: ResistiveCrossbar,
         delta_v: float,
         termination_resistance: float,
-        chunk_size: Optional[int] = None,
     ) -> None:
         check_positive("delta_v", delta_v)
         check_positive("termination_resistance", termination_resistance)
-        if chunk_size is not None:
-            check_integer("chunk_size", chunk_size, minimum=1)
         self.crossbar = crossbar
         self.delta_v = delta_v
         self.termination_resistance = termination_resistance
-        self._chunk_size = chunk_size
-        self._chunk_autotuned = chunk_size is not None
         # Ideal-path state (cheap, always prepared).
         self._conductances = crossbar.conductances
         self._row_totals = crossbar.row_total_conductances()
@@ -147,59 +139,21 @@ class BatchedCrossbarEngine:
         """Whether the parasitic-path factorisation has been computed."""
         return self._woodbury_ready
 
-    @property
-    def chunk_size(self) -> int:
-        """Samples per stacked parasitic solve (configured, tuned or default)."""
-        return self._chunk_size if self._chunk_size is not None else self.WOODBURY_CHUNK
-
-    def prepare(
-        self, include_parasitics: bool = True, autotune_chunk: bool = True
-    ) -> "BatchedCrossbarEngine":
+    def prepare(self, include_parasitics: bool = True) -> "BatchedCrossbarEngine":
         """Eagerly build the static-network factorisation and return ``self``.
 
         Long-running services pay the one-time sparse LU + Woodbury
         precomputation at startup (per worker replica) rather than on the
         first request, keeping first-request latency flat.  A no-op when
         parasitics are disabled or the factorisation already exists.
-
-        When no explicit ``chunk_size`` was configured, ``autotune_chunk``
-        (default) additionally times the candidate chunk sizes on a
-        synthetic batch and keeps the fastest for this geometry — a few
-        stacked solves, so the cost stays a small fraction of the LU
-        factorisation itself.
         """
         if (
             include_parasitics
             and self.crossbar.parasitics.segment_resistance != 0.0
+            and not self._woodbury_ready
         ):
-            if not self._woodbury_ready:
-                self._build_woodbury()
-            if autotune_chunk and not self._chunk_autotuned:
-                self._chunk_size = self._autotune_chunk()
-                self._chunk_autotuned = True
+            self._build_woodbury()
         return self
-
-    def _autotune_chunk(self) -> int:
-        """Time the candidate chunk sizes on this geometry; return the fastest.
-
-        The timing input is a synthetic full-drive batch (every row at the
-        nominal 2 % loading used for DAC calibration), which exercises the
-        same stacked-solve shapes as real traffic.  One warm-up plus one
-        timed solve per candidate keeps the whole tune to a handful of
-        LAPACK calls; the choice only affects speed, never results.
-        """
-        rows = self.crossbar.rows
-        drive = 0.02 * self.crossbar.nominal_row_conductance()
-        best_size, best_elapsed = self.WOODBURY_CHUNK, float("inf")
-        for candidate in self.CHUNK_CANDIDATES:
-            batch = np.full((candidate, rows), drive)
-            self._solve_parasitic_chunked(batch, candidate)  # warm-up
-            start = time.perf_counter()
-            self._solve_parasitic_chunked(batch, candidate)
-            elapsed = (time.perf_counter() - start) / candidate
-            if elapsed < best_elapsed:
-                best_size, best_elapsed = candidate, elapsed
-        return best_size
 
     # ------------------------------------------------------------------ #
     # Pickling (the EngineSpec contract)
@@ -227,15 +181,12 @@ class BatchedCrossbarEngine:
 
         Matches :meth:`CrossbarSolver.solve_ideal` bit-for-bit: the row
         voltages and the supply reduction are element-wise operations
-        (identical batched or not) and the column projection is done with
-        one mat-vec per sample, because a single batched GEMM rounds
-        differently from the per-sample GEMV used by the scalar solver.
+        (identical batched or not) and the column projection is
+        :func:`rowwise_matmul`, the per-sample mat-vec of the scalar solver.
         """
         dac = self._check_batch(dac_conductances)
         row_v = self.delta_v * dac / (dac + self._row_totals[None, :])
-        column_currents = np.empty((dac.shape[0], self.crossbar.columns))
-        for b in range(dac.shape[0]):
-            column_currents[b] = row_v[b] @ self._conductances
+        column_currents = rowwise_matmul(row_v, self._conductances)
         supply = np.sum(dac * (self.delta_v - row_v), axis=1)
         return BatchCrossbarSolution(
             column_currents=column_currents,
@@ -318,37 +269,33 @@ class BatchedCrossbarEngine:
         """Woodbury solves of the full MNA network for a ``(B, rows)`` batch.
 
         The per-sample ``(I + D W)`` systems are solved as one stacked
-        ``numpy.linalg.solve`` call per chunk of :attr:`chunk_size`
-        samples and the small projections as batched GEMMs, so the hot
-        path spends its time in LAPACK/BLAS rather than a Python loop.
+        ``numpy.linalg.solve`` call per chunk (sized to :data:`STACK_BYTES`)
+        and the small projections as :func:`rowwise_matmul`, so the hot
+        path spends its time in LAPACK/BLAS rather than a Python loop and
+        every row's result is independent of how its batch was cut.
         """
         if self.crossbar.parasitics.segment_resistance == 0.0:
             return self.solve_ideal_batch(dac_conductances)
         dac = self._check_batch(dac_conductances)
         if not self._woodbury_ready:
             self._build_woodbury()
-        return self._solve_parasitic_chunked(dac, self.chunk_size)
-
-    def _solve_parasitic_chunked(
-        self, dac: np.ndarray, chunk_size: int
-    ) -> BatchCrossbarSolution:
-        """The chunked Woodbury loop over an already-validated batch."""
-        batch = dac.shape[0]
+        batch, rows = dac.shape
+        chunk = max(1, STACK_BYTES // (8 * rows * rows))
         column_currents = np.empty((batch, self.crossbar.columns))
         supply = np.empty(batch)
         w_matrix = self._w_matrix
         z_outputs = self._z_outputs
         delta_v = self.delta_v
-        for start in range(0, batch, chunk_size):
-            d = dac[start : start + chunk_size]
+        for start in range(0, batch, chunk):
+            d = dac[start : start + chunk]
             injection = d * delta_v
-            base_driven = injection @ w_matrix.T
+            base_driven = rowwise_matmul(injection, w_matrix.T)
             systems = self._identity[None, :, :] + d[:, :, None] * w_matrix[None, :, :]
             corrections = np.linalg.solve(
                 systems, (d * base_driven)[:, :, None]
             )[:, :, 0]
-            v_driven = base_driven - corrections @ w_matrix.T
-            v_outputs = (injection - corrections) @ z_outputs.T
+            v_driven = base_driven - rowwise_matmul(corrections, w_matrix.T)
+            v_outputs = rowwise_matmul(injection - corrections, z_outputs.T)
             stop = start + d.shape[0]
             column_currents[start:stop] = self._g_term * v_outputs
             supply[start:stop] = np.sum(d * (delta_v - v_driven), axis=1)

@@ -78,19 +78,16 @@ def worker_servers():
 def fleet_backend(backend_amm, worker_servers):
     """A two-replica fleet supervisor with its control socket bound.
 
-    Same chunk-pinning and test-speed supervision knobs as
-    ``remote_backend``; the control socket binds an ephemeral port
-    (never hard-coded) so admin-client tests can dial it.
+    Same test-speed supervision knobs as ``remote_backend``; the control
+    socket binds an ephemeral port (never hard-coded) so admin-client
+    tests can dial it.
     """
     from repro.backends import FleetSupervisor
 
-    engine = backend_amm.solver.batch_engine
-    engine.prepare(backend_amm.include_parasitics)
     backend = FleetSupervisor(
         backend_amm,
         worker_addresses=[server.address for server in worker_servers],
         min_shard_size=2,
-        chunk_size=engine.chunk_size,
         heartbeat_interval=0.1,
         backoff_base=0.02,
         backoff_max=0.2,
@@ -104,22 +101,13 @@ def fleet_backend(backend_amm, worker_servers):
 
 @pytest.fixture()
 def remote_backend(backend_amm, worker_servers):
-    """A two-replica remote backend with test-speed supervision knobs.
-
-    The Woodbury chunk is pinned to the parent module's own engine so
-    remote results are *bit*-identical to the in-process reference —
-    independently autotuned chunks would differ only in the last BLAS
-    ulp, but the equivalence tests assert exact equality.
-    """
+    """A two-replica remote backend with test-speed supervision knobs."""
     from repro.backends import RemoteBackend
 
-    engine = backend_amm.solver.batch_engine
-    engine.prepare(backend_amm.include_parasitics)
     backend = RemoteBackend(
         backend_amm,
         worker_addresses=[server.address for server in worker_servers],
         min_shard_size=4,
-        chunk_size=engine.chunk_size,
         heartbeat_interval=0.1,
         backoff_base=0.02,
         backoff_max=0.2,

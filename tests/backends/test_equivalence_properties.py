@@ -1,12 +1,12 @@
 """Property-based cross-backend equivalence: serial ≡ threads ≡
-processes ≡ remote, bit-identically, on the ideal path.
+processes ≡ remote ≡ auto, bit-identically, on the ideal and the
+parasitic path.
 
-The hand-picked matrix in ``test_equivalence.py`` pins the parasitic
-path to solver precision; this suite drives seeded-random workloads
-(shared strategies in ``strategies.py``) through every backend and
-asserts **exact** equality of every output field — on the ideal path
-there is no stacked-LAPACK shape sensitivity, so any difference at all
-is a transport or seeding bug, not numerics.
+This suite drives seeded-random workloads (shared strategies in
+``strategies.py``) through every backend and asserts **exact** equality
+of every output field — the engine solves every row independently of
+its batch on both paths, so any difference at all is a transport or
+seeding bug, not numerics.
 
 Two layers, trading construction cost for coverage:
 
@@ -35,15 +35,15 @@ from repro.backends import (
 )
 from tests.backends.strategies import build_test_amm, geometries, recall_batches
 
-#: Shared geometry of the long-lived pools (ideal path, input variation
-#: on so the per-request noise substream is part of every property).
+#: Shared geometry of the long-lived pools (input variation on so the
+#: per-request noise substream is part of every property).
 FEATURES = 16
 TEMPLATES = 4
 GEOMETRY_SEED = 11
 
 
 def assert_bit_identical(result, reference):
-    """Every field exactly equal — no tolerances on the ideal path."""
+    """Every field exactly equal — no tolerances on either path."""
     assert np.array_equal(result.winner_column, reference.winner_column)
     assert np.array_equal(result.winner, reference.winner)
     assert np.array_equal(result.dom_code, reference.dom_code)
@@ -56,33 +56,33 @@ def assert_bit_identical(result, reference):
 
 
 @pytest.fixture(scope="module")
-def ideal_amm():
-    return build_test_amm(FEATURES, TEMPLATES, GEOMETRY_SEED)
+def worker_agents():
+    """Two worker agents shared by both matrices (each link pushes its own spec)."""
+    workers = [WorkerServer().start(), WorkerServer().start()]
+    yield workers
+    for server in workers:
+        server.close()
 
 
-@pytest.fixture(scope="module")
-def backend_matrix(ideal_amm):
+def _backend_matrix(amm, worker_agents):
     """serial / threads / processes / remote / auto, one prepared pool each.
 
-    The Woodbury chunk is irrelevant on the ideal path (no stacked
-    parasitic solves), so replicas need no chunk pinning for exactness.
     ``auto`` routes through its own serial/threads/processes candidates
     by measured cost — whatever plan its calibration picked on this run,
     the properties below must hold bit-for-bit.
     """
-    serial = SerialBackend(ideal_amm).prepare()
-    threads = ThreadedBackend(ideal_amm, workers=2, min_shard_size=2).prepare()
+    serial = SerialBackend(amm).prepare()
+    threads = ThreadedBackend(amm, workers=2, min_shard_size=2).prepare()
     processes = ProcessPoolBackend(
-        ideal_amm, workers=2, min_shard_size=2, max_batch_size=64
+        amm, workers=2, min_shard_size=2, max_batch_size=64
     ).prepare()
-    workers = [WorkerServer().start(), WorkerServer().start()]
     remote = RemoteBackend(
-        ideal_amm,
-        worker_addresses=[server.address for server in workers],
+        amm,
+        worker_addresses=[server.address for server in worker_agents],
         min_shard_size=2,
         heartbeat_interval=0.5,
     ).prepare()
-    auto = AutoBackend(ideal_amm, workers=2, min_shard_size=2).prepare()
+    auto = AutoBackend(amm, workers=2, min_shard_size=2).prepare()
     yield {
         "serial": serial,
         "threads": threads,
@@ -92,19 +92,30 @@ def backend_matrix(ideal_amm):
     }
     for backend in (serial, threads, processes, remote, auto):
         backend.close()
-    for server in workers:
-        server.close()
+
+
+@pytest.fixture(scope="module")
+def backend_matrix(worker_agents):
+    """The pools on the ideal path."""
+    yield from _backend_matrix(
+        build_test_amm(FEATURES, TEMPLATES, GEOMETRY_SEED), worker_agents
+    )
+
+
+#: The pools are fixtures, not instance state, so the parasitic subclass
+#: re-running these properties from another executor is safe.
+_SHARED_POOLS = [HealthCheck.function_scoped_fixture, HealthCheck.differing_executors]
 
 
 class TestBackendMatrixProperties:
     @settings(
         max_examples=20,
         deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
+        suppress_health_check=_SHARED_POOLS,
     )
     @given(case=recall_batches(FEATURES))
     def test_all_backends_bit_identical(self, backend_matrix, case):
-        """For any batch shape, content and seed vector: four backends,
+        """For any batch shape, content and seed vector: five backends,
         one answer, to the last bit."""
         codes, seeds = case
         reference = backend_matrix["serial"].recall_batch_seeded(codes, seeds)
@@ -115,7 +126,7 @@ class TestBackendMatrixProperties:
     @settings(
         max_examples=15,
         deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
+        suppress_health_check=_SHARED_POOLS,
     )
     @given(case=recall_batches(FEATURES))
     def test_splitting_a_batch_changes_nothing(self, backend_matrix, case):
@@ -144,7 +155,7 @@ class TestBackendMatrixProperties:
     @settings(
         max_examples=15,
         deadline=None,
-        suppress_health_check=[HealthCheck.function_scoped_fixture],
+        suppress_health_check=_SHARED_POOLS,
     )
     @given(case=recall_batches(FEATURES))
     def test_equal_seeds_equal_results(self, backend_matrix, case):
@@ -154,6 +165,19 @@ class TestBackendMatrixProperties:
         first = backend_matrix["processes"].recall_batch_seeded(codes, seeds)
         second = backend_matrix["remote"].recall_batch_seeded(codes, seeds)
         assert_bit_identical(second, first)
+
+
+class TestParasiticBackendMatrixProperties(TestBackendMatrixProperties):
+    """The same properties on the parasitic (Woodbury) path."""
+
+    @pytest.fixture(scope="class")
+    def backend_matrix(self, worker_agents):
+        yield from _backend_matrix(
+            build_test_amm(
+                FEATURES, TEMPLATES, GEOMETRY_SEED, include_parasitics=True
+            ),
+            worker_agents,
+        )
 
 
 class TestGeometryProperties:

@@ -86,12 +86,8 @@ class TestFleetEquivalence:
         conductances = backend_amm.input_dacs.conductances(request_codes)
         reference = backend_amm.solver.solve_batch(conductances)
         solution = fleet_backend.solve_batch(conductances)
-        np.testing.assert_allclose(
-            solution.column_currents, reference.column_currents, rtol=1e-12
-        )
-        np.testing.assert_allclose(
-            solution.supply_current, reference.supply_current, rtol=1e-12
-        )
+        assert np.array_equal(solution.column_currents, reference.column_currents)
+        assert np.array_equal(solution.supply_current, reference.supply_current)
 
     def test_capabilities_and_context_manager(self, fleet_backend):
         capabilities = fleet_backend.capabilities()
@@ -192,8 +188,6 @@ class TestWeightedRouting:
     ):
         from repro.backends import WorkerServer
 
-        engine = backend_amm.solver.batch_engine
-        engine.prepare(backend_amm.include_parasitics)
         fast, slow = WorkerServer().start(), WorkerServer().start()
         proxy = ChaosProxy(slow.address)
         proxy.delay(0.08)
@@ -201,7 +195,6 @@ class TestWeightedRouting:
             backend_amm,
             worker_addresses=[fast.address, proxy.address],
             min_shard_size=2,
-            chunk_size=engine.chunk_size,
             heartbeat_interval=0.5,
             io_timeout=20.0,
             latency_alpha=0.5,
@@ -290,13 +283,10 @@ class TestControlSocket:
 
 class TestRegistryAndServing:
     def test_registry_creates_fleet_backend(self, backend_amm, worker_servers):
-        engine = backend_amm.solver.batch_engine
-        engine.prepare(backend_amm.include_parasitics)
         backend = create_backend(
             "fleet",
             backend_amm,
             worker_addresses=[server.address for server in worker_servers],
-            chunk_size=engine.chunk_size,
         )
         try:
             assert isinstance(backend, FleetSupervisor)
@@ -347,13 +337,10 @@ class TestThreadDiscipline:
     def test_close_joins_supervisor_and_control_threads(
         self, backend_amm, worker_servers
     ):
-        engine = backend_amm.solver.batch_engine
-        engine.prepare(backend_amm.include_parasitics)
         baseline = set(threading.enumerate())
         fleet = FleetSupervisor(
             backend_amm,
             worker_addresses=[server.address for server in worker_servers],
-            chunk_size=engine.chunk_size,
             heartbeat_interval=0.1,
             control=("127.0.0.1", 0),
         ).prepare()

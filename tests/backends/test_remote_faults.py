@@ -39,13 +39,10 @@ def chaos_setup(backend_amm):
     proxied_worker = WorkerServer().start()
     direct_worker = WorkerServer().start()
     proxy = ChaosProxy(proxied_worker.address)
-    engine = backend_amm.solver.batch_engine
-    engine.prepare(backend_amm.include_parasitics)
     backend = RemoteBackend(
         backend_amm,
         worker_addresses=[proxy.address, direct_worker.address],
         min_shard_size=4,
-        chunk_size=engine.chunk_size,
         heartbeat_interval=0.1,
         backoff_base=0.02,
         backoff_max=0.2,

@@ -68,6 +68,7 @@ def assert_equivalent(loop_results, batch_result, exact_analog: bool) -> None:
             assert np.array_equal(sample.column_currents, scalar.column_currents)
             assert sample.static_power == scalar.static_power
         else:
+            # Tolerant: the per-sample reference is the sparse MNA solve.
             np.testing.assert_allclose(
                 sample.column_currents, scalar.column_currents, rtol=1e-6
             )
@@ -207,6 +208,7 @@ class TestSolverBatch:
         batch = solver.solve_batch(dacs, include_parasitics=True)
         for index in range(6):
             scalar = solver.solve(dacs[index], include_parasitics=True)
+            # Tolerant: Woodbury against the sparse MNA solve, two algorithms.
             np.testing.assert_allclose(
                 batch.column_currents[index], scalar.column_currents, rtol=1e-8
             )

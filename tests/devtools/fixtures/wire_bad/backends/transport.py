@@ -9,7 +9,6 @@ from typing import Optional
 @dataclass
 class EngineSpec:
     module: object
-    chunk_size: Optional[int] = None
     # Solver state must never ride in the spec.
     factorisation: Optional["SuperLUFactor"] = None
 
