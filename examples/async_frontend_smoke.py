@@ -5,9 +5,10 @@ Builds the reduced pipeline from ``quickstart.py``, serves it from the
 over JSON HTTP through the asyncio front end, and in-process — the
 same :class:`RecognitionService` driven by ``--concurrency`` threads,
 each calling ``service.recognise_many`` on ``--images-per-request``
-rows, with no HTTP at all.  A second async phase then serves JSON and
-the native binary endpoint *concurrently* from the one event loop —
-mixed traffic — and checks the binary answers bit-for-bit against the
+rows, with no HTTP at all.  A second async phase then serves buffered
+JSON, NDJSON streams and the native binary endpoint *concurrently* from
+the one event loop — mixed traffic through the one shared row loop —
+and checks the stream and binary answers bit-for-bit against the
 engine.  The script prints both throughputs and fails (exit code 1) if
 the async JSON throughput lands below ``--floor`` times the in-process
 throughput: the front end must not give away what the batched engine
@@ -38,6 +39,7 @@ from repro.core.config import DesignParameters
 from repro.core.pipeline import build_pipeline
 from repro.serving import (
     BinaryRecognitionClient,
+    RecognitionClient,
     RecognitionService,
     run_load,
     start_async_server,
@@ -129,50 +131,68 @@ def _measure_async(amm, codes, arguments):
 
 
 def _mixed_smoke(amm, codes, arguments):
-    """Serve JSON and binary concurrently from one event loop: a
-    background thread pushes binary batches (checked bit-for-bit against
-    the engine) while the JSON load runs.  Correctness smoke only — the
-    two protocols share the engine, so throughput is not compared here."""
+    """Serve all three request shapes concurrently from one event loop:
+    while the buffered JSON load runs, one thread pushes binary batches
+    and another NDJSON streams, each answer checked bit-for-bit against
+    the engine.  Correctness smoke only — the three share the engine,
+    so throughput is not compared here."""
     server = start_async_server(_make_service(amm), port=0, binary_port=0)
     stop = threading.Event()
-    binary_batches = [0]
+    completed = {"binary": 0, "stream": 0}
     failure: list = []
     seeds = [int(seed) for seed in range(codes.shape[0])]
-    reference = amm.recognise_batch_seeded(codes, seeds)
+    reference = [row.winner for row in amm.recognise_batch_seeded(codes, seeds)]
 
-    def binary_mixer():
+    def binary_winners():
+        with BinaryRecognitionClient(
+            "127.0.0.1", server.binary_port, client_id="smoke-binary"
+        ) as client:
+            while not stop.is_set():
+                result = client.recognise_batch(codes, seeds=seeds)
+                if result.ok != codes.shape[0]:
+                    raise RuntimeError(f"binary batch failed {result.failed} rows")
+                yield result.winner.tolist()
+
+    def stream_winners():
+        with RecognitionClient(
+            "127.0.0.1", server.port, timeout=60.0, client_id="smoke-stream"
+        ) as client:
+            while not stop.is_set():
+                events = list(client.recognise_stream(codes, seeds=seeds))
+                if events[-1] != {
+                    "done": True, "count": codes.shape[0], "ok": codes.shape[0], "failed": 0
+                }:
+                    raise RuntimeError(f"NDJSON stream ended with {events[-1]}")
+                yield [event["result"]["winner"] for event in events[:-1]]
+
+    def mixer(name, answers):
         try:
-            with BinaryRecognitionClient(
-                "127.0.0.1", server.binary_port, client_id="smoke-binary"
-            ) as client:
-                while not stop.is_set():
-                    result = client.recognise_batch(codes, seeds=seeds)
-                    if result.ok != codes.shape[0]:
-                        raise RuntimeError(
-                            f"binary batch failed {result.failed} rows"
-                        )
-                    for index, row in enumerate(reference):
-                        if result.winner[index] != row.winner:
-                            raise RuntimeError(
-                                f"binary winner diverges at row {index}"
-                            )
-                    binary_batches[0] += 1
+            for winners in answers():
+                if winners != reference:
+                    raise RuntimeError(f"{name} winners diverge from the engine")
+                completed[name] += 1
         except Exception as error:  # surfaced to the main thread below
             failure.append(error)
 
-    mixer = threading.Thread(target=binary_mixer, daemon=True)
+    mixers = [
+        threading.Thread(target=mixer, args=("binary", binary_winners), daemon=True),
+        threading.Thread(target=mixer, args=("stream", stream_winners), daemon=True),
+    ]
     try:
-        mixer.start()
+        for thread in mixers:
+            thread.start()
         _drive_json("127.0.0.1", server.port, codes, arguments)
         stop.set()
-        mixer.join(timeout=60.0)
+        for thread in mixers:
+            thread.join(timeout=60.0)
         if failure:
             raise failure[0]
-        if mixer.is_alive():
-            raise RuntimeError("binary mixer thread did not finish")
-        if binary_batches[0] == 0:
-            raise RuntimeError("binary mixer completed no batches")
-        return binary_batches[0]
+        if any(thread.is_alive() for thread in mixers):
+            raise RuntimeError("a mixer thread did not finish")
+        for name, count in completed.items():
+            if count == 0:
+                raise RuntimeError(f"{name} mixer completed no requests")
+        return completed
     finally:
         stop.set()
         stop_async_server(server)
@@ -211,14 +231,15 @@ def main(argv=None) -> int:
         async_ips = max(
             async_ips, _measure_async(pipeline.amm, codes, arguments)
         )
-    binary_batches = _mixed_smoke(pipeline.amm, codes, arguments)
+    mixed = _mixed_smoke(pipeline.amm, codes, arguments)
 
     ratio = async_ips / inprocess_ips
     print(f"  in-process:    {inprocess_ips:8.1f} images/s")
     print(f"  async JSON:    {async_ips:8.1f} images/s ({ratio:.2f}x in-process)")
     print(
-        f"  mixed phase: JSON load served with {binary_batches} concurrent "
-        "binary batches, all bit-identical to the engine"
+        f"  mixed phase: JSON load served with {mixed['binary']} concurrent "
+        f"binary batches and {mixed['stream']} NDJSON streams, all "
+        "bit-identical to the engine"
     )
 
     if ratio < arguments.floor:

@@ -24,11 +24,33 @@ never pay JSON per row:
   per connection.  A request carries raw little-endian ``codes`` /
   ``seeds`` arrays plus a JSON header (``timeout_ms`` / ``priority`` /
   ``client_id``); the server answers :data:`~repro.backends.wire.ROWS`
-  frames (resolved rows in row order, results as raw arrays, per-row
-  errors in the header) terminated by one
-  :data:`~repro.backends.wire.DONE` summary.  Admission failures become
-  an ``ERROR`` frame carrying the HTTP-taxonomy ``status``/``reason``
-  and leave the connection usable.
+  frames (results as raw arrays, per-row errors in the header)
+  terminated by one :data:`~repro.backends.wire.DONE` summary.  A
+  request rejected whole becomes an ``ERROR`` frame carrying the
+  HTTP-taxonomy ``status``/``reason`` and leaves the connection usable.
+
+One row-serving policy
+----------------------
+
+Buffered JSON, NDJSON streaming and binary RECOGNISE run the same loop,
+:func:`_row_outcomes`, and differ only in how they encode its output:
+
+* the whole request is validated before any row is admitted, so a
+  malformed row anywhere is a 400 (an ``ERROR`` frame on binary) before
+  anything streams;
+* rows go to the service in windows (:meth:`RecognitionService.stream_window`
+  rows for a stream, every row at once for a buffered request, which
+  keeps buffered admission all-or-nothing), and a row keeps its window
+  slot until its outcome is emitted;
+* outcomes are emitted in row order — NDJSON lines and ``ROWS`` frames
+  alike — and a buffered answer takes its status from the first failed
+  row;
+* a denial before anything was admitted is a whole-request 429/503; a
+  later one is retried while none of the request's rows is in flight,
+  and a mid-request shutdown fails every unsubmitted row with its error;
+* a spent wait budget fails every row not yet emitted with one timeout
+  (504 ``deadline``), and any exit — normal end, error, disconnect,
+  cancellation — cancels the request's queued rows.
 
 Thread-bridge rule
 ------------------
@@ -54,10 +76,11 @@ from __future__ import annotations
 
 import asyncio
 import concurrent.futures
+import contextlib
 import socket
 import threading
 from http.client import responses as _HTTP_REASONS
-from typing import Dict, List, Optional, Tuple
+from typing import AsyncIterator, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -80,7 +103,6 @@ from repro.serving.protocol import (
     error_payload,
     result_to_json,
 )
-from repro.serving.quotas import validate_client_id
 from repro.serving.service import RecognitionService
 
 __all__ = [
@@ -154,6 +176,92 @@ class _OutcomeDrain:
             self._wake_scheduled = False
         self._event.clear()
         return batch
+
+
+async def _row_outcomes(
+    service: RecognitionService,
+    parsed: ParsedRecognise,
+    wait: float,
+    window: int,
+) -> AsyncIterator[List[Tuple[int, object]]]:
+    """The one windowed submission loop behind every ``/recognise`` answer.
+
+    Validates the whole request before admitting any row, then keeps at
+    most ``window`` rows in flight and yields ``[(index, outcome), ...]``
+    batches in row order, an outcome being a
+    :class:`~repro.core.amm.RecognitionResult` or the exception that
+    resolved the row.  A row holds its window slot until it is yielded.
+    A backpressure or quota denial is raised as a plain error when
+    nothing has been admitted yet; later it is retried while none of
+    this request's rows is in flight (until ``wait`` runs out).  After a
+    mid-request shutdown, or a denial that outlived ``wait``, every
+    unsubmitted row fails with that admission error; once ``wait`` is
+    spent, every row not yet yielded fails with one timeout error.
+    Closing the generator, on any exit path, abandons the rows still in
+    flight: queued rows are cancelled, dispatched ones drained.
+    """
+    loop = asyncio.get_running_loop()
+    codes, seeds = service.validate_request(
+        parsed.codes, parsed.seeds, parsed.timeout_ms, parsed.priority, parsed.client_id
+    )
+    total = codes.shape[0]
+    deadline = loop.time() + wait
+    drain = _OutcomeDrain(loop)
+    inflight: Dict[int, concurrent.futures.Future] = {}  # submitted, unresolved
+    resolved: Dict[int, object] = {}  # resolved, waiting for earlier rows
+    submitted = emitted = 0
+    admission_error: Optional[BaseException] = None
+    try:
+        while emitted < total:
+            while admission_error is None and submitted < min(emitted + window, total):
+                try:
+                    futures = service.submit_many(
+                        codes[submitted : emitted + window],
+                        seeds=seeds[submitted : emitted + window],
+                        timeout_ms=parsed.timeout_ms,
+                        priority=parsed.priority,
+                        client_id=parsed.client_id,
+                    )
+                except (BackpressureError, QuotaExceededError, ServiceClosedError) as error:
+                    if submitted == 0:
+                        raise
+                    if isinstance(error, ServiceClosedError):
+                        admission_error = error  # permanent: no retry
+                    elif submitted > emitted:
+                        break  # our own rows free capacity as they resolve
+                    elif loop.time() >= deadline:
+                        admission_error = error
+                    else:
+                        delay = getattr(error, "retry_after", None) or 0.02
+                        delay = min(delay, 0.25, deadline - loop.time())
+                        await asyncio.sleep(max(delay, 1e-4))
+                    continue
+                for index, future in enumerate(futures, submitted):
+                    inflight[index] = future
+                    drain.watch(index, future)
+                submitted += len(futures)
+            if emitted == submitted:  # nothing in flight: admission gave out
+                yield [(index, admission_error) for index in range(submitted, total)]
+                return
+            remaining = deadline - loop.time()
+            batch = await drain.drained(remaining)
+            if not batch and remaining <= 0:
+                timeout = concurrent.futures.TimeoutError(
+                    f"request not served within {wait} s"
+                )
+                yield [(index, timeout) for index in range(emitted, total)]
+                return
+            for index, outcome in batch:
+                del inflight[index]
+                resolved[index] = outcome
+            ready = []
+            while emitted in resolved:
+                ready.append((emitted, resolved.pop(emitted)))
+                emitted += 1
+            if ready:
+                yield ready
+    finally:
+        RecognitionService._abandon(inflight.values())
 
 
 # ---------------------------------------------------------------------- #
@@ -477,70 +585,29 @@ class AsyncRecognitionServer:
         writer: asyncio.StreamWriter,
         close_after: bool,
     ) -> bool:
-        loop = self.loop
+        """One JSON answer: the first failed row (in row order) or the
+        spent wait budget becomes the whole request's status."""
         wait = protocol.wait_budget(
             parsed.timeout_ms, default=DEFAULT_REQUEST_TIMEOUT
         )
+        results: List[dict] = []
         try:
-            futures = self.service.submit_many(
-                parsed.codes,
-                seeds=parsed.seeds,
-                timeout_ms=parsed.timeout_ms,
-                priority=parsed.priority,
-                client_id=parsed.client_id,
+            # One window of every row keeps buffered admission all-or-nothing.
+            outcomes = _row_outcomes(
+                self.service, parsed, wait, window=parsed.codes.shape[0]
             )
-        except Exception as error:  # noqa: BLE001 — admission/validation
+            async with contextlib.aclosing(outcomes):
+                async for batch in outcomes:
+                    for _index, outcome in batch:
+                        if isinstance(outcome, BaseException):
+                            raise outcome
+                        results.append(result_to_json(outcome))
+        except Exception as error:  # noqa: BLE001 — taxonomy in one place
             await self._respond_error(writer, error, close=close_after)
             return close_after
-        total = len(futures)
-        drain = _OutcomeDrain(loop)
-        for index, cfut in enumerate(futures):
-            drain.watch(index, cfut)
-        deadline = loop.time() + wait
-        outcomes: Dict[int, object] = {}
-        results: List[object] = []
-        # Scanned in row order (not arrival order) so a multi-row failure
-        # reports the lowest failed row, exactly like the service's
-        # sequential ``recognise_many`` gather; the moment that row fails,
-        # the unresolved tail is abandoned without waiting for it.
-        next_scan = 0
-        try:
-            while next_scan < total:
-                remaining = deadline - loop.time()
-                batch = await drain.drained(remaining)
-                for key, outcome in batch:
-                    outcomes[key] = outcome
-                while next_scan < total and next_scan in outcomes:
-                    outcome = outcomes.pop(next_scan)
-                    if isinstance(outcome, BaseException):
-                        RecognitionService._abandon(futures)
-                        await self._respond_error(
-                            writer, outcome, close=close_after
-                        )
-                        return close_after
-                    results.append(outcome)
-                    next_scan += 1
-                if next_scan < total and not batch and remaining <= 0:
-                    RecognitionService._abandon(futures)
-                    await self._respond(
-                        writer,
-                        504,
-                        {
-                            "error": f"request not served within {wait} s",
-                            "reason": "deadline",
-                        },
-                        close=close_after,
-                    )
-                    return close_after
-        except asyncio.CancelledError:
-            RecognitionService._abandon(futures)
-            raise
-        body = {
-            "count": len(results),
-            "results": [result_to_json(result) for result in results],
-        }
+        body = {"count": len(results), "results": results}
         if parsed.single:
-            body["result"] = body["results"][0]
+            body["result"] = results[0]
         await self._respond(writer, 200, body, close=close_after)
         return close_after
 
@@ -550,160 +617,47 @@ class AsyncRecognitionServer:
         writer: asyncio.StreamWriter,
         close_after: bool,
     ) -> bool:
-        """Chunked-NDJSON streaming on the loop.
+        """Chunked NDJSON: one line per row in row order, then a summary.
 
-        Re-implements the windowed submission policy of
-        :meth:`RecognitionService.recognise_stream` (which is a blocking
-        generator) with awaits in place of blocking waits; the window
-        size, retry policy, mass-fail tail and abandonment semantics are
-        kept identical, so the stream carries the outcomes the in-process
-        generator yields.
+        The 200 head goes out with the first resolved rows, so a request
+        rejected whole (malformed row, admission denied) still gets its
+        clean status; an error after that ends the stream with an
+        abnormal summary and closes the connection.
         """
-        service = self.service
-        loop = self.loop
-        total = parsed.codes.shape[0]
-        window = service.stream_window()
-        deadline = loop.time() + MAX_REQUEST_TIMEOUT
-        drain = _OutcomeDrain(loop)
-        watched: Dict[int, concurrent.futures.Future] = {}  # unresolved rows
-        outcomes: Dict[int, object] = {}  # resolved, not yet emitted
-        next_row = 0  # rows submitted so far
-        next_emit = 0  # in-order NDJSON emission pointer
-        admission_error: Optional[BaseException] = None
-        encoder = StreamLineEncoder(total)
-        committed = False
-
-        def abandon_inflight() -> None:
-            RecognitionService._abandon(watched.values())
-            watched.clear()
-
-        async def write_lines(lines: List[bytes]) -> None:
-            writer.write(b"".join(_chunk(line) for line in lines))
-            await writer.drain()
-
-        def take(batch: List[tuple]) -> List[bytes]:
-            """Fold a drained batch in, return the emittable prefix."""
-            nonlocal next_emit
-            for key, outcome in batch:
-                outcomes[key] = outcome
-                watched.pop(key, None)
-            lines: List[bytes] = []
-            while next_emit in outcomes:
-                lines.append(encoder.line(next_emit, outcomes.pop(next_emit)))
-                next_emit += 1
-            return lines
-
+        encoder = StreamLineEncoder(parsed.codes.shape[0])
+        head = (
+            b"HTTP/1.1 200 OK\r\n"
+            b"Content-Type: application/x-ndjson\r\n"
+            b"Transfer-Encoding: chunked\r\n"
+            + (b"Connection: close\r\n" if close_after else b"")
+            + b"\r\n"
+        )
         try:
-            while next_emit < total:
-                # Window accounting: a row occupies its slot from
-                # submission until its line is on the wire (emission is
-                # in-order, so resolved-but-blocked rows still count).
-                while (
-                    admission_error is None
-                    and next_row < total
-                    and next_row - next_emit < window
-                ):
-                    end = min(next_row + (window - (next_row - next_emit)), total)
-                    try:
-                        futures = service.submit_many(
-                            parsed.codes[next_row:end],
-                            seeds=list(parsed.seeds[next_row:end]),
-                            timeout_ms=parsed.timeout_ms,
-                            priority=parsed.priority,
-                            client_id=parsed.client_id,
-                        )
-                    except ServiceClosedError as error:
-                        if next_row == 0:
-                            raise  # nothing streamed yet: clean 503
-                        admission_error = error  # permanent: no retry
-                        break
-                    except (BackpressureError, QuotaExceededError) as error:
-                        if next_row == 0:
-                            raise  # nothing streamed yet: clean rejection
-                        if next_row > next_emit:
-                            break  # drain our own rows, then retry
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            admission_error = error
-                            break
-                        delay = getattr(error, "retry_after", None) or 0.02
-                        delay = min(delay, 0.25, remaining)
-                        await asyncio.sleep(max(delay, 1e-4))
-                        continue
-                    for offset, cfut in enumerate(futures):
-                        watched[next_row + offset] = cfut
-                        drain.watch(next_row + offset, cfut)
-                    next_row = end
-                if not committed:
-                    committed = True
-                    head = (
-                        b"HTTP/1.1 200 OK\r\n"
-                        b"Content-Type: application/x-ndjson\r\n"
-                        b"Transfer-Encoding: chunked\r\n"
-                    )
-                    if close_after:
-                        head += b"Connection: close\r\n"
-                    writer.write(head + b"\r\n")
+            outcomes = _row_outcomes(
+                self.service,
+                parsed,
+                MAX_REQUEST_TIMEOUT,
+                window=self.service.stream_window(),
+            )
+            async with contextlib.aclosing(outcomes):
+                async for batch in outcomes:
+                    lines = [encoder.line(index, outcome) for index, outcome in batch]
+                    writer.write(head + b"".join(_chunk(line) for line in lines))
+                    head = b""
                     await writer.drain()
-                if next_emit >= next_row:
-                    break  # done, or admission gave out with nothing queued
-                remaining = deadline - loop.time()
-                batch = await drain.drained(remaining)
-                lines = take(batch)
-                if lines:
-                    await write_lines(lines)
-                elif not batch and remaining <= 0:
-                    # The whole-stream budget is spent: everything left
-                    # fails with the same timeout, queued rows cancelled.
-                    timeout_error = concurrent.futures.TimeoutError(
-                        f"stream not served within {MAX_REQUEST_TIMEOUT} s"
-                    )
-                    abandon_inflight()
-                    await write_lines(
-                        [
-                            encoder.line(index, timeout_error)
-                            for index in range(next_emit, total)
-                        ]
-                    )
-                    next_emit = next_row = total
-                    break
-            if not committed:
-                # Zero-row stream: still a well-formed 200 + summary.
-                committed = True
-                writer.write(
-                    b"HTTP/1.1 200 OK\r\n"
-                    b"Content-Type: application/x-ndjson\r\n"
-                    b"Transfer-Encoding: chunked\r\n\r\n"
-                )
-            if admission_error is not None and next_row < total:
-                await write_lines(
-                    [
-                        encoder.line(unsubmitted, admission_error)
-                        for unsubmitted in range(next_row, total)
-                    ]
-                )
-            writer.write(_chunk(encoder.summary()) + _CHUNKED_END)
+            writer.write(head + _chunk(encoder.summary()) + _CHUNKED_END)
             await writer.drain()
             return close_after
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            # Client went away mid-stream: nothing keeps computing for an
-            # audience that left (queued rows cancelled, quota released).
-            abandon_inflight()
-            return True
-        except asyncio.CancelledError:
-            abandon_inflight()
-            raise
+        except OSError:
+            return True  # client went away; its rows were abandoned
         except Exception as error:  # noqa: BLE001
-            abandon_inflight()
-            if not committed:
-                # Admission/validation failed before the 200 was on the
-                # wire: the caller still gets its clean status.
+            if head:
                 await self._respond_error(writer, error, close=close_after)
                 return close_after
             try:
                 writer.write(_chunk(encoder.abnormal_summary(error)) + _CHUNKED_END)
                 await writer.drain()
-            except (ConnectionResetError, BrokenPipeError, OSError):
+            except OSError:
                 pass
             return True
 
@@ -818,146 +772,48 @@ class AsyncRecognitionServer:
         hello_client: Optional[str],
         writer: asyncio.StreamWriter,
     ) -> bool:
-        """Serve one RECOGNISE frame; returns False when the connection
-        is no longer usable (transport failure mid-answer)."""
-        service = self.service
-        loop = self.loop
+        """Serve one RECOGNISE frame as ROWS frames (row order) and a DONE.
+
+        Any error — malformed frame, admission denied, or a failure
+        mid-answer — is one typed ERROR frame for the request, and the
+        connection stays usable.  Returns False only when the transport
+        failed mid-answer.
+        """
         request_id = header.get("id")
+        chunk = _RowChunk(request_id)
         try:
             parsed = _parse_binary_recognise(header, arrays, hello_client)
-        except Exception as error:  # noqa: BLE001 — malformed request
-            await _write_error(writer, error, request_id=request_id)
-            return True  # frame fully consumed; connection stays usable
-        total = parsed.codes.shape[0]
-        window = service.stream_window()
-        # ``timeout_ms`` is a per-row dispatch deadline, exactly as on
-        # the HTTP stream path; the whole answer gets the hard ceiling.
-        deadline = loop.time() + MAX_REQUEST_TIMEOUT
-        drain = _OutcomeDrain(loop)
-        watched: Dict[int, concurrent.futures.Future] = {}  # unresolved rows
-        next_row = 0  # rows submitted so far
-        resolved = 0  # rows whose outcome has landed in a chunk
-        admission_error: Optional[BaseException] = None
-        ok = failed = 0
-        committed = False
-        chunk = _RowChunk(request_id)
-
-        def abandon_inflight() -> None:
-            RecognitionService._abandon(watched.values())
-            watched.clear()
-
-        try:
-            while resolved < total:
-                # ROWS frames carry explicit row indices, so (unlike the
-                # NDJSON stream) rows ship in arrival order and a window
-                # slot frees the moment its row resolves.
-                while (
-                    admission_error is None
-                    and next_row < total
-                    and next_row - resolved < window
-                ):
-                    end = min(next_row + (window - (next_row - resolved)), total)
-                    try:
-                        futures = service.submit_many(
-                            parsed.codes[next_row:end],
-                            seeds=list(parsed.seeds[next_row:end]),
-                            timeout_ms=parsed.timeout_ms,
-                            priority=parsed.priority,
-                            client_id=parsed.client_id,
-                        )
-                    except ServiceClosedError as error:
-                        if next_row == 0 and not committed:
-                            await _write_error(
-                                writer, error, request_id=request_id
-                            )
-                            return True
-                        admission_error = error
-                        break
-                    except (BackpressureError, QuotaExceededError) as error:
-                        if next_row == 0 and not committed:
-                            await _write_error(
-                                writer, error, request_id=request_id
-                            )
-                            return True
-                        if next_row > resolved:
-                            break
-                        remaining = deadline - loop.time()
-                        if remaining <= 0:
-                            admission_error = error
-                            break
-                        delay = getattr(error, "retry_after", None) or 0.02
-                        delay = min(delay, 0.25, remaining)
-                        await asyncio.sleep(max(delay, 1e-4))
-                        continue
-                    except Exception as error:  # noqa: BLE001 — validation
-                        if next_row == 0 and not committed:
-                            await _write_error(
-                                writer, error, request_id=request_id
-                            )
-                            return True
-                        admission_error = error
-                        break
-                    for offset, cfut in enumerate(futures):
-                        watched[next_row + offset] = cfut
-                        drain.watch(next_row + offset, cfut)
-                    next_row = end
-                if resolved >= next_row:
-                    break  # done, or admission gave out with nothing queued
-                committed = True
-                remaining = deadline - loop.time()
-                batch = await drain.drained(remaining)
-                if not batch and remaining <= 0:
-                    timeout_error = concurrent.futures.TimeoutError(
-                        "request not served within its wait budget"
-                    )
-                    stale = sorted(watched)
-                    abandon_inflight()
-                    for stale_index in stale:
-                        chunk.add_error(stale_index, timeout_error)
-                        failed += 1
-                    for unsubmitted in range(next_row, total):
-                        chunk.add_error(unsubmitted, timeout_error)
-                        failed += 1
-                    resolved = next_row = total
-                    break
-                for index, outcome in batch:
-                    watched.pop(index, None)
-                    resolved += 1
-                    if isinstance(outcome, BaseException):
-                        chunk.add_error(index, outcome)
-                        failed += 1
-                    else:
-                        chunk.add_result(index, outcome)
-                        ok += 1
-                    # Flush greedily: resolved rows go out in amortised
-                    # ROWS frames — live progress without per-row frames.
-                    if chunk.rows >= _ROWS_FLUSH:
+            outcomes = _row_outcomes(
+                self.service,
+                parsed,
+                MAX_REQUEST_TIMEOUT,
+                window=self.service.stream_window(),
+            )
+            async with contextlib.aclosing(outcomes):
+                async for batch in outcomes:
+                    for index, outcome in batch:
+                        chunk.add(index, outcome)
+                        # Amortised ROWS frames: live progress without
+                        # per-row frames.
+                        if chunk.rows >= _ROWS_FLUSH:
+                            await _write_frame(writer, wire.ROWS, *chunk.flush())
+                    if chunk.rows:
                         await _write_frame(writer, wire.ROWS, *chunk.flush())
-                if chunk.rows and resolved >= next_row:
-                    await _write_frame(writer, wire.ROWS, *chunk.flush())
-            if admission_error is not None:
-                for unsubmitted in range(next_row, total):
-                    chunk.add_error(unsubmitted, admission_error)
-                    failed += 1
-            if chunk.rows:
-                await _write_frame(writer, wire.ROWS, *chunk.flush())
             await _write_frame(
                 writer,
                 wire.DONE,
                 header={
                     "id": request_id,
-                    "count": total,
-                    "ok": ok,
-                    "failed": failed,
+                    "count": parsed.codes.shape[0],
+                    "ok": chunk.ok,
+                    "failed": chunk.failed,
                 },
             )
-            return True
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            abandon_inflight()
+        except OSError:
             return False
-        except asyncio.CancelledError:
-            abandon_inflight()
-            raise
+        except Exception as error:  # noqa: BLE001 — taxonomy in one place
+            await _write_error(writer, error, request_id=request_id)
+        return True
 
 
 #: Sentinel for a failed binary handshake (``None`` is a valid client id).
@@ -972,6 +828,7 @@ class _RowChunk:
 
     def __init__(self, request_id) -> None:
         self.request_id = request_id
+        self.ok = self.failed = 0  # whole-answer tallies for the DONE frame
         self.reset()
 
     def reset(self) -> None:
@@ -985,19 +842,21 @@ class _RowChunk:
         self.errors: List[dict] = []
         self.rows = 0
 
-    def add_result(self, index: int, result) -> None:
+    def add(self, index: int, outcome) -> None:
+        """Add one row: a result, or the error that resolved it."""
+        self.rows += 1
+        if isinstance(outcome, BaseException):
+            self.errors.append(protocol.row_error_to_json(index, outcome))
+            self.failed += 1
+            return
+        self.ok += 1
         self.indices.append(index)
-        self.winner.append(result.winner)
-        self.winner_column.append(result.winner_column)
-        self.dom_code.append(result.dom_code)
-        self.accepted.append(int(result.accepted))
-        self.tie.append(int(result.tie))
-        self.static_power.append(result.static_power)
-        self.rows += 1
-
-    def add_error(self, index: int, error: BaseException) -> None:
-        self.errors.append(protocol.row_error_to_json(index, error))
-        self.rows += 1
+        self.winner.append(outcome.winner)
+        self.winner_column.append(outcome.winner_column)
+        self.dom_code.append(outcome.dom_code)
+        self.accepted.append(int(outcome.accepted))
+        self.tie.append(int(outcome.tie))
+        self.static_power.append(outcome.static_power)
 
     def flush(self) -> Tuple[dict, Dict[str, np.ndarray]]:
         # int32 on the wire: row indices, class winners, crossbar columns
@@ -1021,49 +880,20 @@ class _RowChunk:
 def _parse_binary_recognise(
     header: dict, arrays: Dict[str, np.ndarray], hello_client: Optional[str]
 ) -> ParsedRecognise:
-    """Validate one RECOGNISE frame into the shared request shape.
+    """Validate one RECOGNISE frame through the JSON request rules.
 
-    The JSON path's field semantics apply verbatim: the frame header's
-    ``client_id`` is authoritative with the HELLO's as fallback,
-    ``seeds`` (an int64 array) must match the batch, and a scalar
-    ``seed`` broadcasts.
+    Binary-only rules: ``codes`` must be a 2-D array and ``seeds``, when
+    sent, is an int64 array rather than a header field; the header
+    carries ``seed`` / ``timeout_ms`` / ``priority`` / ``client_id``, and
+    the HELLO's ``client_id`` is the fallback.
     """
     codes = arrays.get("codes")
     if codes is None:
         raise ValueError("RECOGNISE frame requires a codes array")
     if codes.ndim != 2:
         raise ValueError(f"codes must be a 2-D batch, got shape {codes.shape}")
-    codes = protocol.integral_array("codes", codes)
-    seeds_array = arrays.get("seeds")
-    if seeds_array is not None:
-        seeds = [int(seed) for seed in protocol.integral_array("seeds", seeds_array)]
-        if len(seeds) != codes.shape[0]:
-            raise ValueError(
-                f"seeds must have length {codes.shape[0]}, got {len(seeds)}"
-            )
-    else:
-        seed = protocol.integral_scalar("seed", header.get("seed", 0))
-        seeds = [seed] * codes.shape[0]
-    timeout_ms = header.get("timeout_ms")
-    if timeout_ms is not None:
-        timeout_ms = float(timeout_ms)
-    priority = header.get("priority")
-    priority = 0 if priority is None else protocol.integral_scalar(
-        "priority", priority
-    )
-    client_id = header.get("client_id")
-    if client_id is None:
-        client_id = hello_client
-    client_id = validate_client_id(client_id)
-    return ParsedRecognise(
-        codes=codes,
-        seeds=seeds,
-        single=False,
-        stream=True,
-        timeout_ms=timeout_ms,
-        priority=priority,
-        client_id=client_id,
-    )
+    payload = dict(header, codes=codes, seeds=arrays.get("seeds"), stream=True)
+    return protocol.parse_recognise(payload, hello_client)
 
 
 # ---------------------------------------------------------------------- #

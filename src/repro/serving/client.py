@@ -256,15 +256,18 @@ class RecognitionClient:
                 event = json.loads(line)
                 yield event
                 if event.get("done"):
-                    # Drain the chunked terminator so the keep-alive
-                    # connection is reusable for the next request.
-                    response.read()
-                    finished = True
+                    # An abnormal summary (one carrying "error") means the
+                    # server closes the connection: never reuse it.
+                    finished = "error" not in event
+                    if finished:
+                        # Drain the chunked terminator so the keep-alive
+                        # connection is reusable for the next request.
+                        response.read()
                     break
         finally:
             if not finished:
-                # Mid-stream abandonment: the connection is no longer in
-                # a reusable state (undrained chunks), drop it.
+                # Mid-stream abandonment or an abnormal end: the
+                # connection is not reusable, drop it.
                 self.close()
 
     def healthz(self) -> dict:

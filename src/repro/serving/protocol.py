@@ -2,10 +2,10 @@
 
 The JSON HTTP endpoint and the binary wire endpoint of
 :mod:`repro.serving.aio` serve the *same* request contract: the same
-body validation, the same error taxonomy, the same
-quota/priority/deadline plumbing and the same stream-windowing policy.
-This module is that contract in one place, so the endpoints can only
-differ in transport — never in semantics:
+body validation, the same error taxonomy and the same
+quota/priority/deadline plumbing (and one windowed row loop,
+``aio._row_outcomes``).  This module is that contract in one place, so
+the endpoints can only differ in transport — never in semantics:
 
 * **Result / error projection** — :func:`result_to_json`,
   :func:`classify_error`, :func:`row_error_to_json` and
@@ -14,10 +14,12 @@ differ in transport — never in semantics:
   per-row stream errors share it, so the taxonomy cannot drift between
   the buffered, streaming and binary paths).
 * **Body validation** — :func:`integral_array` / :func:`integral_scalar`
-  reject non-integral payloads instead of silently truncating them, and
-  :func:`parse_recognise` turns a decoded ``POST /recognise`` body into
-  one validated :class:`ParsedRecognise` (codes, seeds, deadline,
-  priority, client id, stream flag).
+  reject non-integral payloads instead of silently truncating them,
+  :func:`number_scalar` rejects booleans and strings where a number is
+  due, and :func:`parse_recognise` turns a decoded ``POST /recognise``
+  body — or a binary ``RECOGNISE`` frame's header and arrays — into one
+  validated :class:`ParsedRecognise` (codes, seeds, deadline, priority,
+  client id, stream flag).
 * **Wait budgets** — :func:`wait_budget` computes how long a front end
   lets the service work on a request before answering 504, tracking the
   request's own ``timeout_ms`` deadline between the default and the hard
@@ -196,6 +198,13 @@ def integral_scalar(name: str, value: object) -> int:
     raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def number_scalar(name: str, value: object) -> float:
+    """Parse one JSON number as a float, rejecting booleans and strings."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class ParsedRecognise:
     """One validated ``POST /recognise`` request, transport-independent.
@@ -265,7 +274,7 @@ def parse_recognise(
     codes = integral_array("codes", payload.get("codes"))
     timeout_ms = payload.get("timeout_ms")
     if timeout_ms is not None:
-        timeout_ms = float(timeout_ms)
+        timeout_ms = number_scalar("timeout_ms", timeout_ms)
     priority = payload.get("priority")
     priority = 0 if priority is None else integral_scalar("priority", priority)
     client_id = payload.get("client_id")

@@ -21,12 +21,11 @@ recall engine:
    and resolve each caller's future with its own
    :class:`~repro.core.amm.RecognitionResult` slice.
 
-Very large multi-image requests stream through
-:meth:`RecognitionService.recognise_stream`, which submits rows in
-bounded windows and yields each row's outcome as its future resolves;
-the HTTP front end applies the same windowing policy to its chunked
-NDJSON responses, so a 1000-image request is served incrementally with
-flat server-side memory.
+Very large multi-image requests are streamed by the asyncio front end
+(:mod:`repro.serving.aio`), which submits their rows through
+:meth:`RecognitionService.submit_many` in windows of
+:meth:`RecognitionService.stream_window` rows, so a 1000-image request
+is served incrementally with flat server-side memory.
 
 Every request carries a seed for its private random substream (see
 :meth:`~repro.core.amm.AssociativeMemoryModule.recognise_batch_seeded`),
@@ -43,7 +42,7 @@ import itertools
 import threading
 import time
 from collections import deque
-from typing import Dict, Generator, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -72,10 +71,6 @@ from repro.utils.validation import check_integer
 MIN_PRIORITY = 0
 MAX_PRIORITY = 9
 DEFAULT_PRIORITY = MIN_PRIORITY
-
-#: Outcome of one streamed row: its index and either a result or the
-#: error that resolved it.
-StreamEvent = Tuple[int, Union[RecognitionResult, BaseException]]
 
 
 def _consume_outcome(future: concurrent.futures.Future) -> None:
@@ -292,13 +287,22 @@ class RecognitionService:
             client_id=client_id,
         )[0]
 
-    def _validate_rows(
+    def validate_request(
         self,
         codes_batch: np.ndarray,
-        seeds: Optional[Sequence[int]],
+        seeds: Optional[Sequence[int]] = None,
+        timeout_ms: Optional[float] = None,
+        priority: int = DEFAULT_PRIORITY,
+        client_id: Optional[str] = None,
     ) -> Tuple[np.ndarray, Sequence[int]]:
-        """Shared request validation (shape, ranges, seeds) for the
-        buffered and streaming submission paths."""
+        """Check a whole request without admitting any of it.
+
+        Shape, code range, seed count and sign, priority, client id and
+        ``timeout_ms`` — every rule :meth:`submit_many` enforces except
+        the queue-depth bound, which only applies to one admitted
+        window.  Returns the ``int64`` codes and the seeds (default 0
+        per row); raises ``ValueError`` (HTTP 400) on the first bad field.
+        """
         codes_batch = np.asarray(codes_batch, dtype=np.int64)
         if codes_batch.ndim != 2 or codes_batch.shape[1] != self.amm.crossbar.rows:
             raise ValueError(
@@ -316,6 +320,14 @@ class RecognitionService:
             raise ValueError(f"codes must be in [0, {max_code}]")
         if any(seed < 0 for seed in seeds):
             raise ValueError("seeds must be non-negative")
+        check_integer("priority", priority, minimum=MIN_PRIORITY)
+        if priority > MAX_PRIORITY:
+            raise ValueError(
+                f"priority must be <= {MAX_PRIORITY}, got {priority}"
+            )
+        validate_client_id(client_id)
+        if timeout_ms is not None and not timeout_ms > 0:
+            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
         return codes_batch, seeds
 
     def submit_many(
@@ -337,15 +349,9 @@ class RecognitionService:
         ``client_id`` the same ordering and quota accounting, to every
         row.
         """
-        codes_batch, seeds = self._validate_rows(codes_batch, seeds)
-        check_integer("priority", priority, minimum=MIN_PRIORITY)
-        if priority > MAX_PRIORITY:
-            raise ValueError(
-                f"priority must be <= {MAX_PRIORITY}, got {priority}"
-            )
-        validate_client_id(client_id)
-        if timeout_ms is not None and not timeout_ms > 0:
-            raise ValueError(f"timeout_ms must be > 0, got {timeout_ms}")
+        codes_batch, seeds = self.validate_request(
+            codes_batch, seeds, timeout_ms, priority, client_id
+        )
         if codes_batch.shape[0] > self.max_queue_depth:
             # Never admittable, even on an idle service: a permanent-error
             # ValueError (HTTP 400), not a retry-later BackpressureError.
@@ -516,151 +522,27 @@ class RecognitionService:
             if not future.cancel():
                 future.add_done_callback(_consume_outcome)
 
-    # ------------------------------------------------------------------ #
-    # Streaming
-    # ------------------------------------------------------------------ #
-    def stream_window(self, window: Optional[int] = None) -> int:
-        """The bounded submission-window size of one streamed request.
+    def stream_window(self) -> int:
+        """How many rows one streamed request may hold in flight.
 
-        Default: twice ``max_batch_size`` (so the batcher always has a
-        full batch ready while the previous one is in flight), clamped
+        Twice ``max_batch_size`` (so the batcher always has a full batch
+        ready while the previous one is in flight), at least 32, clamped
         to the queue depth and — when quotas are configured — the quota
-        burst and per-client in-flight cap, or the all-or-nothing window
+        burst and per-client in-flight cap, or an all-or-nothing window
         submission could never be admitted even on an idle service.
-        Shared by the blocking generator below and the asyncio front
-        end's stream writer, so every transport windows identically.
+
+        The asyncio front end's NDJSON and binary handlers both window by
+        it: the whole request is validated before the first window, so a
+        malformed row anywhere is a 400 before anything streams; rows go
+        out in row order (NDJSON lines, ROWS frames); and a row keeps its
+        slot from submission until its outcome is emitted.
         """
-        if window is None:
-            window = max(2 * self.max_batch_size, 32)
-        check_integer("window", window, minimum=1)
-        window = min(window, self.max_queue_depth)
+        window = min(max(2 * self.max_batch_size, 32), self.max_queue_depth)
         if self.quotas is not None:
             window = min(window, self.quotas.burst)
             if self.quotas.config.max_inflight is not None:
                 window = min(window, self.quotas.config.max_inflight)
         return window
-
-    def recognise_stream(
-        self,
-        codes_batch: np.ndarray,
-        seeds: Optional[Sequence[int]] = None,
-        timeout: Optional[float] = None,
-        timeout_ms: Optional[float] = None,
-        priority: int = DEFAULT_PRIORITY,
-        client_id: Optional[str] = None,
-        window: Optional[int] = None,
-    ) -> Generator[StreamEvent, None, None]:
-        """Stream a large multi-image request row by row, in row order.
-
-        Submits rows in bounded windows of at most ``window`` requests
-        (default: twice ``max_batch_size``, clamped to the queue depth
-        and the quota burst) and yields ``(row_index, outcome)`` as each
-        row's future resolves — ``outcome`` is the row's
-        :class:`~repro.core.amm.RecognitionResult` or the exception that
-        resolved it (partial failure is per-row, not per-request).  The
-        server turns these events into a chunked NDJSON response, so the
-        service never buffers more than one window of futures per stream,
-        and a request larger than ``max_queue_depth`` — impossible on the
-        buffered path — streams through in slices.
-
-        Admission pressure (backpressure or quota) while the stream has
-        rows in flight is absorbed by draining those rows first and
-        retrying; when nothing is in flight the retry honours the
-        ``timeout`` budget, after which the remaining rows are yielded
-        with the admission error.  A denial before *anything* was
-        admitted propagates as a plain exception — the caller gets the
-        same clean 429 as a buffered request.
-        """
-        codes_batch, seeds = self._validate_rows(codes_batch, seeds)
-        total = codes_batch.shape[0]
-        window = self.stream_window(window)
-        deadline = None if timeout is None else time.monotonic() + timeout
-        inflight: deque = deque()  # of (row_index, future)
-        next_row = 0
-        admission_error: Optional[BaseException] = None
-        try:
-            while inflight or next_row < total:
-                # Keep the submission window full while rows remain.
-                while (
-                    admission_error is None
-                    and next_row < total
-                    and len(inflight) < window
-                ):
-                    end = min(next_row + (window - len(inflight)), total)
-                    try:
-                        futures = self.submit_many(
-                            codes_batch[next_row:end],
-                            seeds=list(seeds[next_row:end]),
-                            timeout_ms=timeout_ms,
-                            priority=priority,
-                            client_id=client_id,
-                        )
-                    except ServiceClosedError as error:
-                        if next_row == 0 and not inflight:
-                            raise  # nothing streamed yet: clean 503
-                        # Mid-stream shutdown is permanent: no retry,
-                        # the remaining rows fail with per-row errors.
-                        admission_error = error
-                        break
-                    except (BackpressureError, QuotaExceededError) as error:
-                        if next_row == 0 and not inflight:
-                            raise  # nothing streamed yet: clean rejection
-                        if inflight:
-                            break  # drain our own rows, then retry
-                        remaining = (
-                            None
-                            if deadline is None
-                            else deadline - time.monotonic()
-                        )
-                        if remaining is not None and remaining <= 0:
-                            admission_error = error
-                            break
-                        delay = getattr(error, "retry_after", None) or 0.02
-                        delay = min(delay, 0.25)
-                        if remaining is not None:
-                            delay = min(delay, remaining)
-                        time.sleep(max(delay, 1e-4))
-                        continue
-                    for offset, future in enumerate(futures):
-                        inflight.append((next_row + offset, future))
-                    next_row = end
-                if not inflight:
-                    break  # done, or admission gave out with nothing in flight
-                index, future = inflight.popleft()
-                remaining = (
-                    None if deadline is None else max(0.0, deadline - time.monotonic())
-                )
-                try:
-                    outcome: Union[RecognitionResult, BaseException] = future.result(
-                        remaining
-                    )
-                except concurrent.futures.TimeoutError:
-                    # The whole-stream budget is spent: everything left
-                    # fails with the same timeout, queued rows cancelled.
-                    timeout_error = concurrent.futures.TimeoutError(
-                        f"stream not served within {timeout} s"
-                    )
-                    self._abandon([future])
-                    yield index, timeout_error
-                    self._abandon(f for _, f in inflight)
-                    for stale_index, _ in inflight:
-                        yield stale_index, timeout_error
-                    inflight.clear()
-                    for unsubmitted in range(next_row, total):
-                        yield unsubmitted, timeout_error
-                    return
-                except concurrent.futures.CancelledError as error:
-                    outcome = error
-                except Exception as error:  # per-row failure: keep streaming
-                    outcome = error
-                yield index, outcome
-            if admission_error is not None:
-                for unsubmitted in range(next_row, total):
-                    yield unsubmitted, admission_error
-        finally:
-            # Closed generator (client went away) or internal error:
-            # nothing keeps computing for an audience that left.
-            self._abandon(future for _, future in inflight)
 
     # ------------------------------------------------------------------ #
     # Micro-batcher

@@ -96,28 +96,94 @@ class TestJsonParity:
         assert via_loop == in_process
 
     def test_streaming_matches_threaded_frontend(
-        self, serving_amm, request_codes, request_seeds
+        self, serving_amm, request_codes, request_seeds, recall_gate
     ):
-        """The NDJSON stream carries, line for line, the outcomes of the
-        in-process ``recognise_stream`` generator."""
+        """One row loop, three encodings: for the same codes and seeds,
+        buffered JSON, NDJSON and binary return the same per-row
+        outcomes — served rows bit for bit, and rows expired by
+        ``timeout_ms`` as the same 504 (a buffered request reports its
+        first failed row)."""
+        gate, _ = recall_gate
         seeds = [int(seed) for seed in request_seeds[:8]]
-        with make_service(serving_amm) as service:
-            in_process = [
-                {"index": index, "result": result_to_json(outcome)}
-                for index, outcome in service.recognise_stream(
-                    request_codes[:8], seeds=seeds
-                )
-            ]
-        asynch = start_async_server(make_service(serving_amm), port=0, binary_port=None)
+        codes = request_codes[:8]
+        service = make_service(serving_amm, max_batch_size=1, workers=1)
+        server = start_async_server(service, port=0, binary_port=0)
+
+        def all_transports(**options) -> dict:
+            answers: dict = {}
+
+            def buffered():
+                with RecognitionClient("127.0.0.1", server.port) as client:
+                    try:
+                        results = client.recognise_many(codes, seeds=seeds, **options)
+                    except ServerError as error:
+                        answers["buffered"] = (error.status, error.reason)
+                    else:
+                        answers["buffered"] = [{"result": row} for row in results]
+
+            def ndjson():
+                with RecognitionClient("127.0.0.1", server.port) as client:
+                    lines = list(client.recognise_stream(codes, seeds=seeds, **options))
+                assert lines[-1]["done"] and lines[-1]["count"] == len(seeds)
+                answers["ndjson"] = lines[:-1]
+
+            def binary():
+                with BinaryRecognitionClient("127.0.0.1", server.binary_port) as client:
+                    result = client.recognise_batch(codes, seeds=seeds, **options)
+                answers["binary"] = [
+                    {"index": index, "error": result.errors[index]}
+                    if index in result.errors
+                    else {"index": index, "result": result.row(index)}
+                    for index in range(result.count)
+                ]
+
+            threads = [threading.Thread(target=run) for run in (buffered, ndjson, binary)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60.0)
+            assert set(answers) == {"buffered", "ndjson", "binary"}
+            return answers
+
         try:
-            with RecognitionClient("127.0.0.1", asynch.port) as client:
-                async_lines = list(
-                    client.recognise_stream(request_codes[:8], seeds=seeds)
-                )
+            gate.set()
+            served = all_transports()
+            reference = [
+                result_to_json(row)
+                for row in serving_amm.recognise_batch_seeded(codes, seeds)
+            ]
+            assert served["ndjson"] == served["binary"]
+            assert [line["index"] for line in served["ndjson"]] == list(range(8))
+            assert [line["result"] for line in served["ndjson"]] == [
+                row["result"] for row in served["buffered"]
+            ]
+            for line, row in zip(served["ndjson"], reference):
+                assert line["result"]["winner_column"] == row["winner_column"]
+                assert line["result"]["dom_code"] == row["dom_code"]
+
+            # Hold the engine until every row of all three requests has
+            # sat in the queue past its 1 ms deadline.
+            gate.clear()
+            blockers = [
+                service.submit(request_codes[index], seed=100 + index)
+                for index in range(3)
+            ]
+            release = threading.Timer(0.5, gate.set)
+            release.start()
+            try:
+                expired = all_transports(timeout_ms=1.0)
+            finally:
+                release.join()
+            for blocker in blockers:
+                blocker.result(timeout=20.0)
+            assert expired["ndjson"] == expired["binary"]
+            errors = [line["error"] for line in expired["ndjson"]]
+            assert [error["type"] for error in errors] == ["DeadlineExceededError"] * 8
+            assert expired["buffered"] == (errors[0]["status"], errors[0]["reason"])
+            assert expired["buffered"] == (504, "deadline")
         finally:
-            stop_async_server(asynch)
-        assert async_lines[:-1] == in_process
-        assert async_lines[-1] == {"done": True, "count": 8, "ok": 8, "failed": 0}
+            gate.set()
+            stop_async_server(server)
 
     def test_healthz_and_stats(self, async_server):
         with RecognitionClient("127.0.0.1", async_server.port) as client:

@@ -12,6 +12,9 @@ Each test here fails on the pre-PR code:
 * the batch-fill histogram counted expired/cancelled requests (the
   collected size) instead of the dispatched live size.  (The companion
   ``percentile`` banker's-rounding pin lives in ``test_metrics.py``.)
+
+Later fixes pinned here too: ``timeout_ms`` went through ``float(...)``,
+so a boolean or a numeric string became a deadline instead of a 400.
 """
 
 from __future__ import annotations
@@ -124,6 +127,23 @@ class TestDispatchCloseRace:
             service.close()
 
 
+def post_recognise(port, body: dict):
+    import http.client
+
+    connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
+    try:
+        connection.request(
+            "POST",
+            "/recognise",
+            body=json.dumps(body).encode(),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        connection.close()
+
+
 class TestNonIntegralCodes:
     @pytest.fixture()
     def running_server(self, serving_amm):
@@ -132,43 +152,27 @@ class TestNonIntegralCodes:
         yield server
         stop_async_server(server)
 
-    def post(self, port, body: dict):
-        import http.client
-
-        connection = http.client.HTTPConnection("127.0.0.1", port, timeout=10.0)
-        try:
-            connection.request(
-                "POST",
-                "/recognise",
-                body=json.dumps(body).encode(),
-                headers={"Content-Type": "application/json"},
-            )
-            response = connection.getresponse()
-            return response.status, json.loads(response.read())
-        finally:
-            connection.close()
-
     def test_fractional_codes_rejected_not_truncated(
         self, running_server, request_codes
     ):
         codes = [float(value) for value in request_codes[0]]
         codes[0] = 1.7  # pre-PR: silently truncated to 1, wrong answer served
-        status, payload = self.post(running_server.port, {"codes": codes})
+        status, payload = post_recognise(running_server.port, {"codes": codes})
         assert status == 400
         assert "integ" in payload["error"]
 
     def test_fractional_batch_codes_rejected(self, running_server, request_codes):
         rows = request_codes[:2].astype(float).tolist()
         rows[1][3] += 0.5
-        status, payload = self.post(running_server.port, {"codes": rows})
+        status, payload = post_recognise(running_server.port, {"codes": rows})
         assert status == 400
 
     def test_boolean_and_string_codes_rejected(self, running_server, request_codes):
-        status, _ = self.post(
+        status, _ = post_recognise(
             running_server.port, {"codes": [True] * request_codes.shape[1]}
         )
         assert status == 400
-        status, _ = self.post(
+        status, _ = post_recognise(
             running_server.port, {"codes": ["3"] * request_codes.shape[1]}
         )
         assert status == 400
@@ -176,18 +180,54 @@ class TestNonIntegralCodes:
     def test_integral_floats_accepted(self, running_server, request_codes):
         """2.0 is an integer a JSON client could not avoid emitting."""
         codes = [float(value) for value in request_codes[0]]
-        status, payload = self.post(
+        status, payload = post_recognise(
             running_server.port, {"codes": codes, "seed": 7}
         )
         assert status == 200
         assert "result" in payload
 
     def test_fractional_seed_rejected(self, running_server, request_codes):
-        status, _ = self.post(
+        status, _ = post_recognise(
             running_server.port,
             {"codes": request_codes[0].tolist(), "seed": 1.5},
         )
         assert status == 400
+
+
+class TestMalformedFields:
+    """``timeout_ms`` rejects booleans and strings with a 400 on both
+    endpoints — ``float(True)`` once made a 1 ms deadline and ``"5"`` a
+    5 ms one."""
+
+    @pytest.fixture(scope="class")
+    def both_endpoints(self, serving_amm):
+        service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3)
+        server = start_async_server(service, port=0, binary_port=0)
+        yield server
+        stop_async_server(server)
+
+    @pytest.mark.parametrize(
+        "field",
+        [{"timeout_ms": True}, {"timeout_ms": "5"}],
+        ids=["timeout_ms-bool", "timeout_ms-str"],
+    )
+    def test_malformed_field_rejected(self, both_endpoints, request_codes, field):
+        from repro.backends import wire
+        from repro.serving import BinaryRecognitionClient
+
+        body = {"codes": request_codes[:2].tolist(), **field}
+        status, payload = post_recognise(both_endpoints.port, body)
+        assert status == 400 and payload["reason"] == "invalid"
+        with BinaryRecognitionClient("127.0.0.1", both_endpoints.binary_port) as client:
+            wire.send_frame(
+                client._sock,
+                wire.RECOGNISE,
+                header=field,
+                arrays={"codes": np.asarray(request_codes[:2], dtype=np.int64)},
+            )
+            kind, _version, header, _arrays = wire.recv_frame(client._sock)
+            assert kind == wire.ERROR and header["status"] == 400
+            assert client.recognise_batch(request_codes[:2]).ok == 2
 
 
 class TestBatchFillHistogram:

@@ -1,30 +1,76 @@
 """Streaming-mode tests: chunked NDJSON rows, windowing, partial failure.
 
 ``POST /recognise`` with ``"stream": true`` answers with a chunked
-``application/x-ndjson`` body: one line per row as its future resolves
+``application/x-ndjson`` body: one line per row in row order
 (``{"index": ..., "result": ...}`` or a per-row error object), then a
-``{"done": true, ...}`` summary.  The service submits rows in bounded
-windows, so a request *larger than the whole queue* — a hard 400 on the
-buffered path — streams through with flat server-side buffering, and
-every streamed result is bit-identical to the buffered/serial path.
+``{"done": true, ...}`` summary.  Rows are submitted in bounded windows,
+so a request *larger than the whole queue* — a hard 400 on the buffered
+path — streams through with flat server-side buffering, and every
+streamed result is bit-identical to the buffered/serial path.  The
+binary endpoint runs the same windowed loop, so the windowing, per-row
+failure, timeout, shutdown and abandonment cases are driven through
+both.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import threading
+import time
 
 import numpy as np
 import pytest
 
+import repro.serving.aio as aio_module
+from repro.backends import wire
 from repro.serving import (
-    DeadlineExceededError,
+    BinaryRecognitionClient,
     RecognitionClient,
     RecognitionService,
     ServerError,
     start_async_server,
     stop_async_server,
 )
+from repro.serving.protocol import StreamLineEncoder
+from tests.serving.test_regressions import wait_for
+
+
+def ndjson_rows(port, codes, seeds, **options):
+    """One NDJSON stream's row events and its summary line."""
+    with RecognitionClient("127.0.0.1", port) as client:
+        events = list(client.recognise_stream(codes, seeds=seeds, **options))
+    return events[:-1], events[-1]
+
+
+def binary_rows(port, codes, seeds, **options):
+    """One binary answer's row events, shaped like the NDJSON lines."""
+    with BinaryRecognitionClient("127.0.0.1", port) as client:
+        result = client.recognise_batch(codes, seeds=seeds, **options)
+    events = [
+        {"index": index, "error": result.errors[index]}
+        if index in result.errors
+        else {"index": index, "result": result.row(index)}
+        for index in range(result.count)
+    ]
+    return events, {"count": result.count, "ok": result.ok, "failed": result.failed}
+
+
+def both_transports(server, codes, seeds, **options):
+    """The same request over NDJSON and binary, concurrently."""
+    answers: dict = {}
+
+    def run(name, fetch, port):
+        answers[name] = fetch(port, codes, seeds, **options)
+
+    threads = [
+        threading.Thread(target=run, args=("ndjson", ndjson_rows, server.port)),
+        threading.Thread(target=run, args=("binary", binary_rows, server.binary_port)),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60.0)
+    assert set(answers) == {"ndjson", "binary"}, "a transport did not answer"
+    return answers
 
 
 @pytest.fixture()
@@ -176,20 +222,48 @@ class TestWindowedSubmission:
             )
         assert events[-1]["ok"] == 6
 
-    def test_service_level_window_generator(self, serving_amm, request_codes, request_seeds):
-        with RecognitionService(
-            serving_amm, max_batch_size=4, max_wait=0.0, workers=1
-        ) as service:
-            events = list(
-                service.recognise_stream(
-                    request_codes, seeds=list(request_seeds), window=4, timeout=30.0
+    def test_service_level_window_generator(
+        self, serving_amm, request_codes, request_seeds
+    ):
+        """A 4-row window (from ``max_queue_depth``) serves 24 rows in
+        row order on both endpoints; binary ROWS frames arrive in row
+        order too."""
+        service = RecognitionService(
+            serving_amm, max_batch_size=4, max_wait=0.0, max_queue_depth=4, workers=1
+        )
+        assert service.stream_window() == 4
+        server = start_async_server(service, port=0, binary_port=0)
+        seeds = [int(seed) for seed in request_seeds]
+        try:
+            # One request at a time: two 4-row windows would overrun the
+            # 4-row queue.
+            answers = {
+                "ndjson": ndjson_rows(server.port, request_codes, seeds),
+                "binary": binary_rows(server.binary_port, request_codes, seeds),
+            }
+            with BinaryRecognitionClient("127.0.0.1", server.binary_port) as client:
+                wire.send_frame(
+                    client._sock,
+                    wire.RECOGNISE,
+                    header={},
+                    arrays={"codes": request_codes, "seeds": np.asarray(seeds)},
                 )
-            )
-            reference = serving_amm.recognise_batch_seeded(request_codes, request_seeds)
-            assert [index for index, _ in events] == list(range(len(request_seeds)))
-            for index, outcome in events:
-                assert not isinstance(outcome, BaseException)
-                assert outcome.winner_column == reference[index].winner_column
+                frame_indices: list = []
+                while True:
+                    kind, _version, _header, arrays = wire.recv_frame(client._sock)
+                    if kind == wire.DONE:
+                        break
+                    assert kind == wire.ROWS
+                    frame_indices.extend(arrays["index"].tolist())
+        finally:
+            stop_async_server(server)
+        assert frame_indices == list(range(len(seeds)))
+        reference = serving_amm.recognise_batch_seeded(request_codes, seeds)
+        for events, summary in answers.values():
+            assert summary["ok"] == len(seeds)
+            assert [event["index"] for event in events] == list(range(len(seeds)))
+            for event, row in zip(events, reference):
+                assert event["result"]["winner_column"] == row.winner_column
 
 
 class TestPartialFailure:
@@ -238,10 +312,13 @@ class TestPartialFailure:
     def test_service_stream_yields_exceptions_per_row(
         self, serving_amm, request_codes, recall_gate
     ):
+        """Rows that expire in the queue are per-row 504 errors on both
+        endpoints, and the answer carries on to its summary."""
         gate, _ = recall_gate
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, workers=1
         )
+        server = start_async_server(service, port=0, binary_port=0)
         try:
             blockers = [
                 service.submit(request_codes[index], seed=100 + index)
@@ -250,99 +327,102 @@ class TestPartialFailure:
             release = threading.Timer(0.3, gate.set)
             release.start()
             try:
-                events = list(
-                    service.recognise_stream(
-                        request_codes[:3],
-                        seeds=[1, 2, 3],
-                        timeout_ms=1.0,
-                        timeout=20.0,
-                    )
+                answers = both_transports(
+                    server, request_codes[:3], [1, 2, 3], timeout_ms=1.0
                 )
             finally:
                 release.join()
-            assert len(events) == 3
-            for _, outcome in events:
-                assert isinstance(outcome, DeadlineExceededError)
+            for events, summary in answers.values():
+                assert summary["count"] == 3 and summary["failed"] == 3
+                assert [event["index"] for event in events] == [0, 1, 2]
+                for event in events:
+                    assert event["error"]["type"] == "DeadlineExceededError"
+                    assert event["error"]["status"] == 504
+            assert answers["ndjson"][0] == answers["binary"][0]
             for blocker in blockers:
                 blocker.result(timeout=20.0)
         finally:
             gate.set()
-            service.close()
+            stop_async_server(server)
 
     def test_whole_stream_timeout_fails_remaining_rows(
-        self, serving_amm, request_codes, recall_gate
+        self, serving_amm, request_codes, recall_gate, monkeypatch
     ):
+        """Once the answer's wait budget is spent, every row not yet
+        emitted fails with one timeout and the queued rows are
+        cancelled, not solved."""
         gate, recalled = recall_gate
+        monkeypatch.setattr(aio_module, "MAX_REQUEST_TIMEOUT", 0.3)
         service = RecognitionService(
             serving_amm, max_batch_size=1, max_wait=0.0, workers=1
         )
+        server = start_async_server(service, port=0, binary_port=0)
         try:
             blockers = [
                 service.submit(request_codes[index], seed=100 + index)
                 for index in range(3)
             ]
-            events = list(
-                service.recognise_stream(
-                    request_codes[:4], seeds=[1, 2, 3, 4], timeout=0.3
-                )
-            )
-            assert [index for index, _ in events] == [0, 1, 2, 3]
-            assert all(
-                isinstance(outcome, concurrent.futures.TimeoutError)
-                for _, outcome in events
-            )
+            answers = both_transports(server, request_codes[:4], [1, 2, 3, 4])
+            for events, summary in answers.values():
+                assert summary["count"] == 4 and summary["failed"] == 4
+                assert [event["index"] for event in events] == [0, 1, 2, 3]
+                for event in events:
+                    assert event["error"]["reason"] == "deadline"
+                    assert event["error"]["message"] == (
+                        "request not served within 0.3 s"
+                    )
             gate.set()
             for blocker in blockers:
                 blocker.result(timeout=20.0)
+            assert wait_for(lambda: service.queue_depth == 0)
             # The timed-out rows were cancelled, not solved.
             assert not (set(recalled) & {1, 2, 3, 4})
         finally:
             gate.set()
-            service.close()
+            stop_async_server(server)
 
 
 class TestMidStreamClose:
     def test_close_fails_remaining_rows_per_row(
         self, serving_amm, request_codes, recall_gate
     ):
-        """A service closed mid-stream resolves every remaining row with
-        ServiceClosedError events — the stream ends, it does not hang or
-        blow up the generator."""
-        from repro.serving import ServiceClosedError
-
+        """A service closed mid-answer resolves every remaining row with a
+        503 ``unavailable`` row error on both endpoints — the answer ends
+        with its summary, it does not hang or break the connection."""
         gate, _ = recall_gate
-        service = RecognitionService(
-            serving_amm, max_batch_size=1, max_wait=0.0, workers=1
-        )
-        events = []
-        try:
-            stream = service.recognise_stream(
-                request_codes[:6], seeds=[1, 2, 3, 4, 5, 6], window=2, timeout=30.0
+        for transport in (ndjson_rows, binary_rows):
+            gate.clear()
+            # A 2-row window: most of the request is still unsubmitted
+            # when the service closes.
+            service = RecognitionService(
+                serving_amm, max_batch_size=1, max_wait=0.0, max_queue_depth=2, workers=1
             )
+            server = start_async_server(service, port=0, binary_port=0)
+            port = server.port if transport is ndjson_rows else server.binary_port
             closer = threading.Timer(0.3, lambda: service.close(timeout=0.1))
-            closer.start()
             release = threading.Timer(1.0, gate.set)
+            closer.start()
             release.start()
             try:
-                events = list(stream)
+                events, summary = transport(
+                    port, request_codes[:6], [1, 2, 3, 4, 5, 6]
+                )
             finally:
                 closer.join()
                 release.join()
-            assert [index for index, _ in events] == list(range(6))
+                gate.set()
+                stop_async_server(server)
+            assert [event["index"] for event in events] == list(range(6))
+            assert summary["ok"] + summary["failed"] == 6
             # Whatever was in flight may have been served; everything the
-            # closed service abandoned carries ServiceClosedError.
-            failures = [
-                outcome
-                for _, outcome in events
-                if isinstance(outcome, BaseException)
-            ]
-            assert failures, "close() during the stream produced no row errors"
+            # closed service abandoned or refused carries the 503.
+            failures = [event["error"] for event in events if "error" in event]
+            assert failures, "close() during the answer produced no row errors"
             assert all(
-                isinstance(outcome, ServiceClosedError) for outcome in failures
+                failure["type"] == "ServiceClosedError"
+                and failure["reason"] == "unavailable"
+                for failure in failures
             )
-        finally:
-            gate.set()
-            service.close()
 
 
 class TestStreamAbandonment:
@@ -374,7 +454,6 @@ class TestStreamAbandonment:
         ``requests.cancelled``), their seeds never reach a recall, and
         the client's in-flight quota slots all come home — no leak."""
         from repro.serving import QuotaConfig
-        from tests.serving.test_regressions import wait_for
 
         service = RecognitionService(
             serving_amm,
@@ -419,16 +498,15 @@ class TestStreamAbandonment:
     def test_service_generator_close_cancels_and_releases_quota(
         self, serving_amm, request_codes, monkeypatch
     ):
-        """Same contract one layer down: closing the service-level
-        stream generator (what the HTTP handler does in its ``finally``)
+        """Same contract on the cancellation exit path: stopping the
+        server mid-stream cancels the handler task, whose row loop
         cancels the queued window rows and releases the client's quota
         slots."""
         from repro.backends.threaded import ThreadedBackend
         from repro.serving import QuotaConfig
-        from tests.serving.test_regressions import wait_for
 
-        # The first recall passes so the generator can yield one event
-        # and suspend; every later recall blocks until released.
+        # The first recall passes so one row can stream; every later
+        # recall blocks until released.
         gate = threading.Event()
         recalled: list = []
         passed_first = threading.Event()
@@ -449,25 +527,28 @@ class TestStreamAbandonment:
             workers=1,
             quota=QuotaConfig(rate=1e9, burst=256, max_inflight=256),
         )
+        server = start_async_server(service, port=0, binary_port=None)
         try:
-            stream = service.recognise_stream(
-                request_codes[:8],
-                seeds=list(range(200, 208)),
-                client_id="walker",
-                window=8,
-                timeout=30.0,
-            )
-            index, outcome = next(stream)  # whole window now submitted
-            assert index == 0 and not isinstance(outcome, BaseException)
-            assert service.quotas.inflight("walker") > 0
-            stream.close()  # the client walked away
-            assert wait_for(
-                lambda: service.metrics.cancelled > 0, timeout=20.0
-            ), "closing the stream generator cancelled nothing"
+            with RecognitionClient(
+                "127.0.0.1", server.port, client_id="walker"
+            ) as client:
+                events = client.recognise_stream(
+                    request_codes[:8], seeds=list(range(200, 208))
+                )
+                first = next(events)  # the whole request is now submitted
+                assert first["index"] == 0 and "result" in first
+                assert service.quotas.inflight("walker") > 0
+                # Returns once the cancelled handler's row loop has
+                # cancelled the queued rows, so the engine may resume.
+                stop_async_server(server, close_service=False)
+                events.close()
             gate.set()
             assert wait_for(
+                lambda: service.metrics.cancelled > 0, timeout=20.0
+            ), "cancelling the handler cancelled no rows"
+            assert wait_for(
                 lambda: service.quotas.inflight("walker") == 0, timeout=20.0
-            ), "generator close leaked in-flight quota slots"
+            ), "handler cancellation leaked in-flight quota slots"
             # The cancelled tail never reached the engine.
             assert set(range(200, 208)) - set(recalled)
         finally:
@@ -522,4 +603,94 @@ class TestStreamAdmission:
                 future.result(timeout=20.0)
         finally:
             gate.set()
+            stop_async_server(server)
+
+
+class TestWholeRequestValidation:
+    """A malformed row anywhere rejects the whole request before any row
+    is admitted — on the stream as on the buffered path."""
+
+    @pytest.fixture()
+    def bad_request(self, request_codes):
+        codes = np.tile(request_codes, (9, 1))[:200].copy()
+        codes[150, 3] = 99  # out of the 5-bit code range
+        return codes, list(range(200))
+
+    @pytest.fixture()
+    def both_endpoints(self, serving_amm):
+        service = RecognitionService(serving_amm, max_batch_size=8, max_wait=1e-3)
+        server = start_async_server(service, port=0, binary_port=0)
+        yield server
+        stop_async_server(server)
+
+    def test_bad_row_rejects_ndjson_stream_before_admission(
+        self, both_endpoints, bad_request
+    ):
+        codes, seeds = bad_request
+        with RecognitionClient("127.0.0.1", both_endpoints.port) as client:
+            with pytest.raises(ServerError) as excinfo:
+                list(client.recognise_stream(codes, seeds=seeds))
+            assert excinfo.value.status == 400
+            assert excinfo.value.reason == "invalid"
+            with pytest.raises(ServerError) as excinfo:
+                client.recognise_many(codes, seeds=seeds)
+            assert excinfo.value.status == 400
+        assert both_endpoints.service.metrics.submitted == 0
+
+    def test_bad_row_rejects_binary_request_before_admission(
+        self, both_endpoints, bad_request, request_codes
+    ):
+        codes, seeds = bad_request
+        with BinaryRecognitionClient("127.0.0.1", both_endpoints.binary_port) as client:
+            with pytest.raises(ServerError) as excinfo:
+                client.recognise_batch(codes, seeds=seeds)
+            assert excinfo.value.status == 400
+            assert excinfo.value.reason == "invalid"
+            assert both_endpoints.service.metrics.submitted == 0
+            # One typed ERROR frame answered the request: the connection
+            # is still usable.
+            assert client.recognise_batch(request_codes[:2], seeds=[1, 2]).ok == 2
+
+
+class TestAbnormalSummary:
+    def test_client_recovers_after_abnormal_summary(
+        self, serving_amm, request_codes, monkeypatch
+    ):
+        """An internal error mid-stream ends the stream with an abnormal
+        summary whose tallies still add up; the server closes the
+        connection, so the client must not reuse it."""
+        from repro.backends.threaded import ThreadedBackend
+
+        original_recall = ThreadedBackend.recall_batch_seeded
+        original_line = StreamLineEncoder.line
+
+        def slowed(self, codes_batch, request_seeds):
+            time.sleep(0.05)  # rows resolve one at a time
+            return original_recall(self, codes_batch, request_seeds)
+
+        def failing_line(self, index, outcome):
+            if index == 3:
+                raise RuntimeError("encoder failure at row 3")
+            return original_line(self, index, outcome)
+
+        monkeypatch.setattr(ThreadedBackend, "recall_batch_seeded", slowed)
+        monkeypatch.setattr(StreamLineEncoder, "line", failing_line)
+        service = RecognitionService(
+            serving_amm, max_batch_size=1, max_wait=0.0, workers=1
+        )
+        server = start_async_server(service, port=0, binary_port=None)
+        try:
+            with RecognitionClient("127.0.0.1", server.port) as client:
+                events = list(
+                    client.recognise_stream(request_codes[:6], seeds=list(range(6)))
+                )
+                summary = events[-1]
+                assert summary["error"]["status"] == 500
+                assert "encoder failure" in summary["error"]["message"]
+                assert summary["ok"] == 3
+                assert summary["ok"] + summary["failed"] == summary["count"] == 6
+                assert [event["index"] for event in events[:-1]] == [0, 1, 2]
+                # The next call on the same client opens a fresh connection.
+                assert len(client.recognise_many(request_codes[:2], seeds=[1, 2])) == 2
+        finally:
             stop_async_server(server)
